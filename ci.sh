@@ -11,13 +11,14 @@
 #   4. hygiene             no build artifacts tracked by git
 #   5. build               cargo build --release (whole workspace)
 #   6. tests               cargo test -q (tier-1 suite + all members)
-#   7. bench gate          plugvolt-cli bench --smoke vs committed BENCH.json
-#   8. attribution smoke   plugvolt-cli bench --attr --smoke + Chrome trace
-#   9. soak gate           plugvolt-cli soak --smoke + corpus replay
-#  10. trace replay gate   committed MSR transcript replayed through the
+#   7. benchmark tests     perfbench's self-tests (its own cargo workspace)
+#   8. bench gate          plugvolt-cli bench --smoke vs committed BENCH.json
+#   9. attribution smoke   plugvolt-cli bench --attr --smoke + Chrome trace
+#  10. soak gate           plugvolt-cli soak --smoke + corpus replay
+#  11. trace replay gate   committed MSR transcript replayed through the
 #                          HAL replay backend (tape-clean + oracles +
 #                          sim-differential byte identity)
-#  11. golden gate         results/ regenerate bit-for-bit vs golden.manifest
+#  12. golden gate         results/ regenerate bit-for-bit vs golden.manifest
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,6 +80,12 @@ cargo build --release -p plugvolt-hal
 
 step "cargo test -q"
 cargo test -q --workspace
+
+step "perfbench self-tests"
+# perfbench/ is a cargo workspace of its own (it builds against the
+# crates by path), so `cargo test --workspace` never reaches it. Its
+# self-tests pin the benchmark's output checks and failure accounting.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 step "plugvolt-cli bench --smoke"
 # Smoke-size perf harness run: validates the pinned BENCH.json schema

@@ -14,8 +14,8 @@
 //!
 //! [`CallGraph::reachable_from`] supports *boundary* functions whose
 //! outgoing edges are not expanded — used to stop hot-path traversal at
-//! the sanctioned table-build module (`crates/cpu/src/slack.rs`), which
-//! is allowed to pay the analytic cost once per process.
+//! the sanctioned table module (`crates/cpu/src/slack.rs`), which is
+//! allowed to pay the analytic cost once per grid point per process.
 
 use crate::index::{FnId, SymbolIndex};
 use crate::source::SourceFile;

@@ -543,9 +543,9 @@ impl Rule for MachineConstructionDiscipline {
 /// (`exp`/`ln`) inline. A transcendental call creeping back into one of
 /// those functions silently undoes the optimization — the results stay
 /// identical, only the sweep gets slow again — so the lint, not a perf
-/// regression six PRs later, is what catches it. The table-build module
+/// regression six PRs later, is what catches it. The table module
 /// (`crates/cpu/src/slack.rs`) is exempt: it is the one place allowed
-/// to pay the analytic cost, once per process.
+/// to pay the analytic cost, once per grid point per process.
 pub struct HotPathTranscendentals;
 
 /// Function-name prefixes whose bodies count as batch hot paths.

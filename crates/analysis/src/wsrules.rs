@@ -778,8 +778,8 @@ impl WorkspaceRule for MsrDirectAccess {
 /// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, `poll*`,
 /// and the event-queue API `schedule_at`/`pop_due`/`peek_time`) is a
 /// hot-path cost, even when it hides two calls down. Traversal stops at
-/// `crates/cpu/src/slack.rs` — the sanctioned table-build module pays
-/// the analytic cost once per process.
+/// `crates/cpu/src/slack.rs` — the sanctioned table module pays the
+/// analytic cost once per grid point per process.
 pub struct HotPathReachability;
 
 /// Name prefixes that seed the hot-entry set.

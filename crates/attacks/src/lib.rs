@@ -63,7 +63,8 @@ pub mod prelude {
     };
     pub use crate::plundervolt::{run_aes_attack, run_rsa_attack, PlundervoltConfig};
     pub use crate::schedule::{
-        AttackFamily, CampaignSchedule, PlaneSel, ScheduleAction, ScheduleEvent, VictimClass,
+        AttackFamily, CampaignSchedule, PlaneSel, ScheduleAction, ScheduleError, ScheduleEvent,
+        VictimClass,
     };
     pub use crate::v0ltpwn::{run_v0ltpwn_attack, V0ltpwnConfig, V0ltpwnReport};
     pub use crate::voltjockey::{run_voltjockey_attack, VoltJockeyConfig};

@@ -14,11 +14,16 @@
 //! [`CampaignSchedule::with_halved_ramps`],
 //! [`CampaignSchedule::with_widened_intervals`]) are the shrink moves
 //! the soak engine's delta-debugger composes into minimal reproducers.
+//!
+//! Schedules also arrive from outside the process, as corpus
+//! reproducers; [`CampaignSchedule::validate`] bounds every field a
+//! campaign run depends on, so a hand-edited or corrupted case is
+//! rejected instead of hanging or panicking the run.
 
 use plugvolt_cpu::exec::InstrClass;
 use plugvolt_cpu::model::CpuSpec;
 use plugvolt_des::rng::SimRng;
-use plugvolt_msr::oc_mailbox::Plane;
+use plugvolt_msr::oc_mailbox::{OcRequest, Plane};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -161,6 +166,76 @@ pub struct CampaignSchedule {
 /// Polling periods campaigns draw from, µs (subset of the interval
 /// sweep's range; ≥ 50 µs so timer work never dominates).
 const POLL_PERIODS_US: [u64; 5] = [50, 100, 200, 400, 800];
+
+/// Latest campaign-relative instant a valid schedule may use, µs — for
+/// event times and the polling period alike. One simulated second: well
+/// above the ~15 ms spans [`CampaignSchedule::generate`] emits, and
+/// small enough that a campaign stays a bounded amount of simulation.
+pub const MAX_SCHEDULE_HORIZON_US: u64 = 1_000_000;
+
+/// Largest victim burst a valid schedule may request, operations —
+/// 250× the largest burst [`CampaignSchedule::generate`] emits. Fault
+/// sampling is O(faults), so an unbounded burst inside the fault band
+/// is an unbounded amount of work.
+pub const MAX_BURST_OPS: u64 = 10_000_000;
+
+/// Why a [`CampaignSchedule`] cannot be run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScheduleError {
+    /// The polling period is 0 or past [`MAX_SCHEDULE_HORIZON_US`].
+    PollPeriod {
+        /// The rejected period, µs.
+        poll_period_us: u64,
+    },
+    /// An event lies past [`MAX_SCHEDULE_HORIZON_US`].
+    EventPastHorizon {
+        /// Index of the event in the schedule.
+        index: usize,
+        /// The rejected instant, µs.
+        at_us: u64,
+    },
+    /// An offset write the OC mailbox cannot encode.
+    OffsetOutOfRange {
+        /// Index of the event in the schedule.
+        index: usize,
+        /// The rejected offset, mV.
+        offset_mv: i32,
+    },
+    /// A victim burst larger than [`MAX_BURST_OPS`].
+    BurstTooLarge {
+        /// Index of the event in the schedule.
+        index: usize,
+        /// The rejected operation count.
+        ops: u64,
+    },
+}
+
+impl fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ScheduleError::PollPeriod { poll_period_us } => write!(
+                f,
+                "poll period {poll_period_us} µs outside 1..={MAX_SCHEDULE_HORIZON_US} µs"
+            ),
+            ScheduleError::EventPastHorizon { index, at_us } => write!(
+                f,
+                "event {index} at {at_us} µs is past the {MAX_SCHEDULE_HORIZON_US} µs horizon"
+            ),
+            ScheduleError::OffsetOutOfRange { index, offset_mv } => write!(
+                f,
+                "event {index} writes offset {offset_mv} mV outside {}..={} mV",
+                OcRequest::MIN_OFFSET_MV,
+                OcRequest::MAX_OFFSET_MV
+            ),
+            ScheduleError::BurstTooLarge { index, ops } => write!(
+                f,
+                "event {index} bursts {ops} ops (more than {MAX_BURST_OPS})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
 
 impl CampaignSchedule {
     /// Generates a campaign for `family` from the rng stream.
@@ -345,6 +420,44 @@ impl CampaignSchedule {
         .canonicalized()
     }
 
+    /// Checks that the schedule can be run in bounded time without a
+    /// panic: a polling period in `1..=`[`MAX_SCHEDULE_HORIZON_US`],
+    /// every event at or before the horizon, every offset encodable by
+    /// the OC mailbox, and every burst at most [`MAX_BURST_OPS`].
+    /// Every schedule [`generate`](Self::generate) emits is valid.
+    ///
+    /// # Errors
+    ///
+    /// The first field that fails, in schedule order.
+    pub fn validate(&self) -> Result<(), ScheduleError> {
+        if !(1..=MAX_SCHEDULE_HORIZON_US).contains(&self.poll_period_us) {
+            return Err(ScheduleError::PollPeriod {
+                poll_period_us: self.poll_period_us,
+            });
+        }
+        for (index, ev) in self.events.iter().enumerate() {
+            if ev.at_us > MAX_SCHEDULE_HORIZON_US {
+                return Err(ScheduleError::EventPastHorizon {
+                    index,
+                    at_us: ev.at_us,
+                });
+            }
+            match ev.action {
+                ScheduleAction::OffsetWrite { offset_mv, .. }
+                    if !(OcRequest::MIN_OFFSET_MV..=OcRequest::MAX_OFFSET_MV)
+                        .contains(&offset_mv) =>
+                {
+                    return Err(ScheduleError::OffsetOutOfRange { index, offset_mv });
+                }
+                ScheduleAction::VictimBurst { ops, .. } if ops > MAX_BURST_OPS => {
+                    return Err(ScheduleError::BurstTooLarge { index, ops });
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Number of schedule events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -448,6 +561,78 @@ mod tests {
 
     fn rng(label: &str) -> SimRng {
         SimRng::from_seed_label(0x50_4c_55_47, label)
+    }
+
+    #[test]
+    fn generated_schedules_validate() {
+        for model in [CpuModel::CometLake, CpuModel::SkyLake] {
+            let spec = model.spec();
+            for seed in 0..500u64 {
+                for family in AttackFamily::ALL {
+                    let mut rng = SimRng::from_seed_label(seed, "validate");
+                    let s = CampaignSchedule::generate(family, &spec, &mut rng);
+                    assert_eq!(s.validate(), Ok(()), "{model} {family} seed {seed}: {s}");
+                    // Far below the horizon, so the bound never bites a
+                    // generated campaign.
+                    assert!(s.span_us() < MAX_SCHEDULE_HORIZON_US / 10, "{s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_each_out_of_range_field() {
+        let spec = CpuModel::CometLake.spec();
+        let good = CampaignSchedule::generate(AttackFamily::Plundervolt, &spec, &mut rng("v"));
+        assert_eq!(good.validate(), Ok(()));
+
+        let mut s = good.clone();
+        s.poll_period_us = 0;
+        assert_eq!(
+            s.validate(),
+            Err(ScheduleError::PollPeriod { poll_period_us: 0 })
+        );
+
+        let mut s = good.clone();
+        s.events[0].at_us = u64::MAX;
+        assert_eq!(
+            s.validate(),
+            Err(ScheduleError::EventPastHorizon {
+                index: 0,
+                at_us: u64::MAX
+            })
+        );
+        s.events[0].at_us = MAX_SCHEDULE_HORIZON_US;
+        assert_eq!(s.validate(), Ok(()));
+
+        for offset_mv in [
+            i32::MIN,
+            OcRequest::MIN_OFFSET_MV - 1,
+            OcRequest::MAX_OFFSET_MV + 1,
+        ] {
+            let mut s = good.clone();
+            s.events[0].action = ScheduleAction::OffsetWrite {
+                plane: PlaneSel::Core,
+                offset_mv,
+            };
+            assert_eq!(
+                s.validate(),
+                Err(ScheduleError::OffsetOutOfRange {
+                    index: 0,
+                    offset_mv
+                })
+            );
+        }
+
+        let mut s = good;
+        s.events[0].action = ScheduleAction::VictimBurst {
+            class: VictimClass::Imul,
+            ops: MAX_BURST_OPS + 1,
+        };
+        assert!(matches!(
+            s.validate(),
+            Err(ScheduleError::BurstTooLarge { index: 0, .. })
+        ));
     }
 
     #[test]

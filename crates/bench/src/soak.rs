@@ -911,6 +911,10 @@ fn replay_corpus(
             )));
             continue;
         }
+        if let Err(e) = case.schedule.validate() {
+            failures.push(fail(format!("invalid case: {e}")));
+            continue;
+        }
         replayed += 1;
         let got = judge_campaign(scn, model, map, &case.schedule, case.weaken_skip_every)?;
         match (case.expect_violation, got) {
@@ -1246,6 +1250,87 @@ mod tests {
             again.corpus_failures
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The committed corpus directory.
+    fn committed_corpus() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fuzz-corpus")
+    }
+
+    /// Replays a copy of the committed VoltJockey reproducer with
+    /// `from` replaced by `to` in its JSON, from a fresh temp-dir
+    /// corpus, and returns the single corpus failure it must produce.
+    fn replay_corrupted_case(from: &str, to: &str, tag: u32) -> CorpusFailure {
+        let original = std::fs::read_dir(committed_corpus())
+            .expect("committed corpus exists")
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .find(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("voltjockey-"))
+            })
+            .expect("committed voltjockey reproducer");
+        let text = std::fs::read_to_string(&original).expect("reads");
+        assert!(text.contains(from), "fixture lacks {from:?}");
+        let dir = std::env::temp_dir().join(format!(
+            "plugvolt-soak-invalid-{}-{tag}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("creates corpus dir");
+        std::fs::write(dir.join("case.json"), text.replacen(from, to, 1)).expect("writes");
+        let report = run_soak(&Scenario::new(), &quick_cfg(0, false), Some(&dir)).expect("runs");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report.corpus_replayed, 0, "an invalid case was replayed");
+        assert!(!report.passed());
+        assert_eq!(
+            report.corpus_failures.len(),
+            1,
+            "{:?}",
+            report.corpus_failures
+        );
+        let failure = report.corpus_failures[0].clone();
+        assert_eq!(failure.file, "case.json");
+        assert!(
+            failure.detail.starts_with("invalid case: "),
+            "{}",
+            failure.detail
+        );
+        failure
+    }
+
+    #[test]
+    fn corpus_case_with_zero_poll_period_is_rejected() {
+        let f = replay_corrupted_case("\"poll_period_us\": 400", "\"poll_period_us\": 0", 1);
+        assert!(f.detail.contains("poll period 0"), "{}", f.detail);
+    }
+
+    #[test]
+    fn corpus_case_past_the_horizon_is_rejected() {
+        let f = replay_corrupted_case("\"at_us\": 4590", "\"at_us\": 18446744073709551615", 2);
+        assert!(f.detail.contains("past the"), "{}", f.detail);
+    }
+
+    #[test]
+    fn corpus_case_with_unencodable_offset_is_rejected() {
+        let f = replay_corrupted_case("\"offset_mv\": -259", "\"offset_mv\": -2147483648", 3);
+        assert!(f.detail.contains("-2147483648 mV"), "{}", f.detail);
+    }
+
+    #[test]
+    fn committed_corpus_replays_clean() {
+        let report = run_soak(
+            &Scenario::new(),
+            &quick_cfg(0, false),
+            Some(&committed_corpus()),
+        )
+        .expect("runs");
+        assert!(report.corpus_replayed >= 1);
+        assert!(
+            report.corpus_failures.is_empty(),
+            "{:?}",
+            report.corpus_failures
+        );
     }
 
     #[test]

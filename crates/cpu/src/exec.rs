@@ -133,8 +133,8 @@ pub struct ExecutionEngine {
     fault_model: FaultModel,
     t_setup_ps: f64,
     t_eps_ps: f64,
-    /// Precomputed slack table for the batch hot path ([`crate::slack`]);
-    /// `None` runs everything analytically.
+    /// Lazily filled slack table for the batch hot path
+    /// ([`crate::slack`]); `None` runs everything analytically.
     table: Option<Arc<SlackTable>>,
     /// Batches answered from the table.
     table_hits: Cell<u64>,
@@ -162,7 +162,7 @@ impl ExecutionEngine {
         }
     }
 
-    /// Attaches (or detaches, with `None`) a precomputed slack table.
+    /// Attaches (or detaches, with `None`) a slack table.
     ///
     /// The table is a pure cache: attached or not, every batch outcome
     /// and RNG draw is bit-identical (see [`crate::slack`]).
@@ -253,12 +253,12 @@ impl ExecutionEngine {
         // classification and fault probability read from the grid. Both
         // paths stop at the first crashing class without drawing for it,
         // so the RNG stream stays identical.
-        if let Some(entry) = self.table.as_ref().and_then(|t| t.entry(f, v_mv)) {
+        if let Some(ops) = self.table.as_ref().and_then(|t| t.imul_ops(f, v_mv)) {
             self.table_hits.set(self.table_hits.get() + 1);
             let mut faults = 0u64;
             for (i, (fraction, _, _)) in MultiplierUnit::IMUL_LOOP_CLASSES.iter().enumerate() {
                 let n = (iters as f64 * fraction).round() as u64;
-                let op = entry.imul_ops[i];
+                let op = ops[i];
                 if op.state == TimingState::Crash {
                     return BatchOutcome::Crashed;
                 }
@@ -293,9 +293,9 @@ impl ExecutionEngine {
         // Table fast path: the cached entry stores this exact voltage's
         // slack, classification and fault probability, so the outcome and
         // the RNG draws match the analytic expressions below bit for bit.
-        if let Some(entry) = self.table.as_ref().and_then(|t| t.entry(f, v_mv)) {
+        if let Some(classes) = self.table.as_ref().and_then(|t| t.classes(f, v_mv)) {
             self.table_hits.set(self.table_hits.get() + 1);
-            let cached = entry.classes[class_index(class)];
+            let cached = classes[class_index(class)];
             if cached.state == TimingState::Crash {
                 return BatchOutcome::Crashed;
             }

@@ -12,7 +12,7 @@
 //! - [`core`] — per-core P/C-state bookkeeping;
 //! - [`vr`] — the voltage regulator (settle delay + slew);
 //! - [`exec`] — instruction classes and fault-aware batch execution;
-//! - [`slack`] — precomputed per-(f, V) slack tables for the hot path;
+//! - [`slack`] — lazily filled per-(f, V) slack tables for the hot path;
 //! - [`microcode`] — sequencer patches (Sec. 5.1 deployment);
 //! - [`package`] — [`package::CpuPackage`], the assembled part.
 //!

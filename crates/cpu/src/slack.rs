@@ -1,4 +1,4 @@
-//! Precomputed slack tables: the hot-path cache over Eq. 1.
+//! Slack tables: the hot-path cache over Eq. 1.
 //!
 //! Every simulated batch (`run_batch_on_rails`, `run_imul_loop`) derives
 //! the same three quantities from `(frequency, voltage)`: the path slack,
@@ -13,20 +13,25 @@
 //! (1/1.024 mV granularity, see `OcRequest`), on both the core and the
 //! cache nominal curves.
 //!
-//! [`SlackTable`] evaluates that grid once per process per model and
-//! memoizes the result, turning the batch hot path into a `HashMap`
-//! probe. **The table is a cache, never a semantic change**: every
-//! stored value is produced by calling the *same* engine methods the
-//! analytic path calls, keyed by the exact bit pattern of the voltage,
-//! so a hit returns bit-identical slack/probability values and consumes
-//! the RNG stream identically. Off-grid queries (mid-slew rails,
-//! unit-varied specs, cross-frequency demand) miss the map and fall
-//! back to the analytic path — correctness never depends on a hit.
+//! [`SlackTable`] memoizes that grid *lazily*: a grid point is evaluated
+//! on its first hit, once per process per model, and every later query
+//! for it is a few loads. Building a table stores only the grid's shape
+//! (frequencies and nominal curve values), so a process pays only for
+//! the points it actually visits — a Figure 2–4 sweep reads each point
+//! once, Table 2 reads two points half a million times, and most
+//! artifacts read none. **The table is a cache, never a semantic
+//! change**: every stored value is produced by calling the *same*
+//! engine methods the analytic path calls, for the exact voltage bits
+//! of the query, so a hit returns bit-identical slack/probability
+//! values and consumes the RNG stream identically. Off-grid queries
+//! (mid-slew rails, unit-varied specs, cross-frequency demand) miss and
+//! fall back to the analytic path — correctness never depends on a hit.
 
 use crate::exec::{ExecutionEngine, InstrClass};
 use crate::freq::FreqMhz;
 use crate::model::{CpuModel, CpuSpec};
 use plugvolt_circuit::delay::{Millivolts, Picoseconds};
+use plugvolt_circuit::fault::FaultModel;
 use plugvolt_circuit::multiplier::MultiplierUnit;
 use plugvolt_circuit::timing::TimingState;
 use std::collections::BTreeMap;
@@ -56,18 +61,18 @@ pub struct ClassEntry {
     pub fault_p: f64,
 }
 
-/// All cached quantities for one `(frequency, voltage)` grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridEntry {
-    /// Per-[`InstrClass`] entries, in [`InstrClass::ALL`] order
-    /// (index with [`class_index`]).
-    pub classes: [ClassEntry; 5],
+/// One `(frequency, voltage)` grid point. Its two halves fill
+/// independently, each on the first query that needs it.
+#[derive(Debug, Default)]
+struct Slot {
+    /// Per-[`InstrClass`] entries, in [`InstrClass::ALL`] order.
+    classes: OnceLock<[ClassEntry; 5]>,
     /// Per-operand-class entries of the EXECUTE-thread imul loop, in
     /// [`MultiplierUnit::IMUL_LOOP_CLASSES`] order.
-    pub imul_ops: [ClassEntry; 3],
+    imul_ops: OnceLock<[ClassEntry; 3]>,
 }
 
-/// Index of `class` into [`GridEntry::classes`] ([`InstrClass::ALL`]
+/// Index of `class` into [`SlackTable::classes`] ([`InstrClass::ALL`]
 /// order).
 #[must_use]
 pub fn class_index(class: InstrClass) -> usize {
@@ -80,141 +85,182 @@ pub fn class_index(class: InstrClass) -> usize {
     }
 }
 
-/// The precomputed slack table for one CPU model's base spec.
+/// The lazily filled slack table for one CPU model's base spec.
 ///
-/// Storage is a dense direct-indexed array, not a hash map: the grid is
-/// a perfect cartesian product (table frequency × plane × offset step),
-/// so a lookup is a binary search over the (tiny, sorted) frequency list
-/// followed by *deriving* the offset-unit index back from the voltage
-/// and one array load. Each slot carries the exact bit pattern of the
-/// voltage it was built for; a lookup only hits when the query voltage
-/// matches those bits, which guarantees the cached values equal what
-/// the analytic path would compute for that voltage, however the rail
-/// arrived there. The hash-map probe this replaces cost as much as the
-/// analytic math it was saving (SipHash over 12-byte keys, ~70 ns); the
-/// indexed load is a few nanoseconds.
+/// Storage is direct-indexed, not hashed: the grid is a perfect
+/// cartesian product (table frequency × plane × offset step), so a
+/// lookup is a binary search over the (tiny, sorted) frequency list
+/// followed by *deriving* the offset-unit index back from the voltage.
+/// Each `(frequency, plane)` column of offset slots is allocated on its
+/// first hit, and each slot fills only the half the caller needs (the
+/// batch classes or the imul operand classes), both through
+/// [`OnceLock`] — so the table is shared across threads behind an
+/// `Arc`, and a filled slot is read with no lock and no allocation.
+///
+/// A lookup only hits when the query voltage has exactly the bits of
+/// the slot's grid voltage, which guarantees the cached values equal
+/// what the analytic path would compute for that voltage, however the
+/// rail arrived there. A miss allocates and fills nothing.
 #[derive(Debug)]
 pub struct SlackTable {
     /// Sorted table frequencies, in MHz.
     freqs: Vec<u32>,
     /// Per-`(frequency, plane)` nominal voltage (the `units == 0`
     /// curve value), indexed `freq_idx * PLANES + plane`. Used to
-    /// derive the offset-unit index from a query voltage.
+    /// derive the offset-unit index from a query voltage and to
+    /// recompute the slot's grid voltage.
     bases: Vec<f64>,
-    /// Exact voltage bits per slot, for hit verification.
-    v_bits: Vec<u64>,
-    /// Cached grid values, parallel to `v_bits`.
-    entries: Vec<GridEntry>,
+    /// Per-`(frequency, plane)` offset slots, parallel to `bases`,
+    /// allocated on first hit.
+    columns: Box<[OnceLock<Box<[Slot]>>]>,
+    /// Engine parameters the fills evaluate with.
+    mul: MultiplierUnit,
+    fault_model: FaultModel,
+    t_setup_ps: f64,
+    t_eps_ps: f64,
     build_ns: u64,
 }
 
 impl SlackTable {
-    /// Evaluates the full grid for `spec`.
+    /// Lays out the grid for `spec` without evaluating any of it.
     ///
     /// The grid is every table frequency × every mailbox offset step in
     /// `[MIN_OFFSET_UNITS, 0]`, applied to both the core and the cache
     /// nominal curves — the exact voltage expressions the regulator
-    /// targets in `retarget_rail`, reproduced term-for-term so the slot
-    /// bits match.
+    /// targets in `retarget_rail`. Points are evaluated on first hit.
     #[must_use]
     pub fn build(spec: &CpuSpec) -> Self {
         let start = std::time::Instant::now(); // plugvolt-lint: allow(no-wall-clock)
-        let engine = ExecutionEngine::new(
-            spec.multiplier(),
-            spec.fault_model(),
-            spec.t_setup_ps,
-            spec.t_eps_ps,
-        );
         let freqs: Vec<u32> = spec.freq_table.iter().map(FreqMhz::mhz).collect();
         debug_assert!(freqs.windows(2).all(|w| w[0] < w[1]));
-        let mut bases = Vec::with_capacity(freqs.len() * PLANES);
-        let mut v_bits = Vec::with_capacity(freqs.len() * PLANES * OFFSET_SPAN);
-        let mut entries = Vec::with_capacity(freqs.len() * PLANES * OFFSET_SPAN);
-        for f in spec.freq_table.iter() {
-            bases.push(spec.nominal_voltage_mv(f));
-            bases.push(spec.nominal_cache_voltage_mv(f));
-            for plane in 0..PLANES {
-                let base = bases[bases.len() - PLANES + plane];
-                for units in MIN_OFFSET_UNITS..=0 {
-                    // Same expression as CpuPackage::retarget_rail: the
-                    // offset units are an i16 widened to f64, scaled by
-                    // 1000/1024 mV per unit, added to the nominal curve.
-                    let v_mv = base + f64::from(units) * 1000.0 / 1024.0;
-                    v_bits.push(v_mv.to_bits());
-                    entries.push(Self::grid_entry(&engine, f, v_mv));
-                }
-            }
-        }
+        let bases: Vec<f64> = spec
+            .freq_table
+            .iter()
+            .flat_map(|f| [spec.nominal_voltage_mv(f), spec.nominal_cache_voltage_mv(f)])
+            .collect();
+        let columns = bases.iter().map(|_| OnceLock::new()).collect();
+        let mul = spec.multiplier();
+        let fault_model = spec.fault_model();
         let build_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         SlackTable {
             freqs,
             bases,
-            v_bits,
-            entries,
+            columns,
+            mul,
+            fault_model,
+            t_setup_ps: spec.t_setup_ps,
+            t_eps_ps: spec.t_eps_ps,
             build_ns,
         }
     }
 
-    /// Computes one grid point *via the engine's own analytic methods*,
-    /// so the cached bits are the analytic bits by construction.
-    fn grid_entry(engine: &ExecutionEngine, f: FreqMhz, v_mv: Millivolts) -> GridEntry {
-        let fm = engine.fault_model();
-        let entry = |slack_ps: Picoseconds| ClassEntry {
-            slack_ps,
-            state: fm.classify(slack_ps),
-            fault_p: fm.fault_probability(slack_ps),
-        };
-        let classes = InstrClass::ALL.map(|c| entry(engine.class_slack_ps(c, f, v_mv)));
-        let budget = engine.budget(f);
-        let imul_ops = MultiplierUnit::IMUL_LOOP_CLASSES
-            .map(|(_, a, b)| entry(engine.multiplier().slack_ps(a, b, &budget, v_mv)));
-        GridEntry { classes, imul_ops }
+    /// The engine whose analytic methods fill the slots, so the cached
+    /// bits are the analytic bits by construction.
+    fn engine(&self) -> ExecutionEngine {
+        ExecutionEngine::new(
+            self.mul.clone(),
+            self.fault_model,
+            self.t_setup_ps,
+            self.t_eps_ps,
+        )
     }
 
-    /// Looks up the grid point for `(f, v_mv)`, `None` when off-grid.
+    /// Slack, classification and fault probability of `slack_ps`.
+    fn class_entry(&self, slack_ps: Picoseconds) -> ClassEntry {
+        ClassEntry {
+            slack_ps,
+            state: self.fault_model.classify(slack_ps),
+            fault_p: self.fault_model.fault_probability(slack_ps),
+        }
+    }
+
+    /// The slot for `(f, v_mv)`, `None` when off-grid.
     ///
     /// The offset-unit index is derived arithmetically from the query
-    /// voltage (`units ≈ (v − nominal) · 1024/1000`, rounded), then the
-    /// slot's stored voltage bits are compared against the query bits.
-    /// Rounding error in the derivation can only ever land on the
-    /// *adjacent* slot, whose stored bits then differ — so a wrong
-    /// index degrades to a miss (analytic fallback), never a wrong hit.
+    /// voltage (`units ≈ (v − nominal) · 1024/1000`, rounded); the
+    /// slot's grid voltage is then recomputed from that index and its
+    /// bits compared against the query bits. Rounding error in the
+    /// derivation can only ever land on the *adjacent* slot, whose grid
+    /// voltage then differs — so a wrong index degrades to a miss
+    /// (analytic fallback), never a wrong hit. Only a hit allocates the
+    /// slot's column.
     #[inline]
-    #[must_use]
-    pub fn entry(&self, f: FreqMhz, v_mv: Millivolts) -> Option<&GridEntry> {
+    fn slot(&self, f: FreqMhz, v_mv: Millivolts) -> Option<&Slot> {
         let fi = self.freqs.binary_search(&f.mhz()).ok()?;
-        let bits = v_mv.to_bits();
-        for plane in 0..PLANES {
-            let units = (v_mv - self.bases[fi * PLANES + plane]) * 1024.0 / 1000.0;
-            let units = units.round();
-            if units < f64::from(MIN_OFFSET_UNITS) || units > 0.0 {
+        for column in fi * PLANES..(fi + 1) * PLANES {
+            let base = self.bases[column];
+            let units = ((v_mv - base) * 1024.0 / 1000.0).round();
+            if !(f64::from(MIN_OFFSET_UNITS)..=0.0).contains(&units) {
                 continue;
             }
             #[allow(clippy::cast_possible_truncation)]
-            let step = (units as i32 - i32::from(MIN_OFFSET_UNITS)) as usize;
-            let slot = (fi * PLANES + plane) * OFFSET_SPAN + step;
-            if self.v_bits[slot] == bits {
-                return Some(&self.entries[slot]);
+            let units = units as i16;
+            // Same expression as CpuPackage::retarget_rail: the offset
+            // units are an i16 widened to f64, scaled by 1000/1024 mV
+            // per unit, added to the nominal curve.
+            if (base + f64::from(units) * 1000.0 / 1024.0).to_bits() != v_mv.to_bits() {
+                continue;
             }
+            let slots = self.columns[column]
+                .get_or_init(|| (0..OFFSET_SPAN).map(|_| Slot::default()).collect());
+            #[allow(clippy::cast_sign_loss)]
+            return Some(&slots[(units - MIN_OFFSET_UNITS) as usize]);
         }
         None
     }
 
-    /// Number of `(frequency, voltage)` grid points stored.
+    /// The per-[`InstrClass`] entries at `(f, v_mv)` (index with
+    /// [`class_index`]), evaluated on first hit; `None` when off-grid.
+    #[inline]
+    #[must_use]
+    pub fn classes(&self, f: FreqMhz, v_mv: Millivolts) -> Option<&[ClassEntry; 5]> {
+        let slot = self.slot(f, v_mv)?;
+        Some(slot.classes.get_or_init(|| {
+            let engine = self.engine();
+            InstrClass::ALL.map(|c| self.class_entry(engine.class_slack_ps(c, f, v_mv)))
+        }))
+    }
+
+    /// The imul-loop operand-class entries at `(f, v_mv)`, in
+    /// [`MultiplierUnit::IMUL_LOOP_CLASSES`] order, evaluated on first
+    /// hit; `None` when off-grid.
+    #[inline]
+    #[must_use]
+    pub fn imul_ops(&self, f: FreqMhz, v_mv: Millivolts) -> Option<&[ClassEntry; 3]> {
+        let slot = self.slot(f, v_mv)?;
+        Some(slot.imul_ops.get_or_init(|| {
+            let engine = self.engine();
+            let budget = engine.budget(f);
+            MultiplierUnit::IMUL_LOOP_CLASSES.map(|(_, a, b)| {
+                self.class_entry(engine.multiplier().slack_ps(a, b, &budget, v_mv))
+            })
+        }))
+    }
+
+    /// Number of `(frequency, voltage)` grid points the table covers,
+    /// filled or not.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.columns.len() * OFFSET_SPAN
     }
 
-    /// Whether the table is empty (never true for a built table).
+    /// Whether the grid is empty (never true for a built table).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.columns.is_empty()
     }
 
-    /// Wall-clock nanoseconds the one-time build took. Telemetry-only:
-    /// this is the single host-dependent value the table carries, and it
-    /// never feeds back into simulation results.
+    /// Number of `(frequency, plane)` columns allocated so far, i.e.
+    /// that have taken at least one hit.
+    #[must_use]
+    pub fn allocated_columns(&self) -> usize {
+        self.columns.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Wall-clock nanoseconds the build took (the grid layout only;
+    /// points are evaluated on first hit). Telemetry-only: this is the
+    /// single host-dependent value the table carries, and it never
+    /// feeds back into simulation results.
     #[must_use]
     pub fn build_ns(&self) -> u64 {
         self.build_ns
@@ -269,14 +315,24 @@ mod tests {
         let table = SlackTable::build(&spec);
         for f in spec.freq_table.iter() {
             let v = spec.nominal_voltage_mv(f);
-            assert!(table.entry(f, v).is_some(), "missing nominal point at {f}");
+            assert!(
+                table.classes(f, v).is_some(),
+                "missing nominal point at {f}"
+            );
             let deepest = v + f64::from(MIN_OFFSET_UNITS) * 1000.0 / 1024.0;
-            assert!(table.entry(f, deepest).is_some(), "missing −500 mV at {f}");
+            assert!(
+                table.imul_ops(f, deepest).is_some(),
+                "missing −500 mV at {f}"
+            );
+            let cache = spec.nominal_cache_voltage_mv(f);
+            assert!(
+                table.classes(f, cache).is_some(),
+                "missing cache point at {f}"
+            );
         }
-        // 29 frequencies × 513 offsets × 2 planes, minus any bit-exact
-        // collisions between the two curves (there are none: the cache
-        // curve sits 20 mV below the core curve).
+        // 29 frequencies × 513 offsets × 2 planes, every column hit.
         assert_eq!(table.len(), 29 * 513 * 2);
+        assert_eq!(table.allocated_columns(), 29 * 2);
         assert!(!table.is_empty());
     }
 
@@ -287,11 +343,15 @@ mod tests {
         let f = spec.base_freq;
         // A mid-slew voltage between two grid steps.
         let v = spec.nominal_voltage_mv(f) - 0.123_456_789;
-        assert!(table.entry(f, v).is_none());
+        assert!(table.classes(f, v).is_none());
         // An off-table frequency.
         assert!(table
-            .entry(FreqMhz(1_850), spec.nominal_voltage_mv(f))
+            .imul_ops(FreqMhz(1_850), spec.nominal_voltage_mv(f))
             .is_none());
+        // Non-finite voltages.
+        assert!(table.classes(f, f64::NAN).is_none());
+        assert!(table.classes(f, f64::INFINITY).is_none());
+        assert_eq!(table.allocated_columns(), 0, "a miss allocated a column");
     }
 
     #[test]
@@ -307,9 +367,9 @@ mod tests {
         let f = spec.base_freq;
         for units in [-512i16, -300, -150, -1, 0] {
             let v = spec.nominal_voltage_mv(f) + f64::from(units) * 1000.0 / 1024.0;
-            let entry = table.entry(f, v).expect("grid point present");
+            let classes = table.classes(f, v).expect("grid point present");
             for class in InstrClass::ALL {
-                let cached = entry.classes[class_index(class)];
+                let cached = classes[class_index(class)];
                 let slack = engine.class_slack_ps(class, f, v);
                 assert_eq!(cached.slack_ps.to_bits(), slack.to_bits());
                 assert_eq!(cached.state, engine.fault_model().classify(slack));
@@ -318,9 +378,10 @@ mod tests {
                     engine.fault_model().fault_probability(slack).to_bits()
                 );
             }
+            let ops = table.imul_ops(f, v).expect("grid point present");
             for (i, (_, a, b)) in MultiplierUnit::IMUL_LOOP_CLASSES.iter().enumerate() {
                 let slack = engine.multiplier().slack_ps(*a, *b, &engine.budget(f), v);
-                assert_eq!(entry.imul_ops[i].slack_ps.to_bits(), slack.to_bits());
+                assert_eq!(ops[i].slack_ps.to_bits(), slack.to_bits());
             }
         }
     }

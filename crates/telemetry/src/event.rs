@@ -116,15 +116,16 @@ pub enum TelemetryEvent {
         /// Whether the invariant held.
         ok: bool,
     },
-    /// A precomputed slack table was attached to the execution engine.
+    /// A slack table was attached to the execution engine.
     ///
-    /// `build_ns` is host wall-clock time for the one-time grid build —
+    /// `build_ns` is host wall-clock time for the one-time grid layout
+    /// (points are evaluated lazily, on first hit) —
     /// the only host-dependent field in the event stream; it never feeds
     /// back into simulation results.
     SlackTableBuilt {
         /// Number of `(frequency, voltage)` grid points in the table.
         entries: u64,
-        /// Wall-clock nanoseconds the one-time build took.
+        /// Wall-clock nanoseconds the one-time layout took.
         build_ns: u64,
     },
 }
