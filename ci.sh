@@ -23,11 +23,24 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Each step prints how long the previous one took, so a CI log doubles
-# as a coarse per-stage timing profile.
+# as a coarse per-stage timing profile. The same wall seconds land in
+# target/ci-stages.json ([{"stage": …, "seconds": …}, …], rewritten as
+# each stage ends), which the workflow uploads, so end-to-end CI cost
+# has a trajectory too — a failing run keeps the stages it finished.
+mkdir -p target
+rm -f target/ci-stages.json
 ci_started=$SECONDS
 step_started=$SECONDS
+stage=""
+stages=""
 step() {
-    printf '\n==> %s (previous step: %ds)\n' "$1" "$((SECONDS - step_started))"
+    local elapsed=$((SECONDS - step_started))
+    printf '\n==> %s (previous step: %ds)\n' "$1" "$elapsed"
+    if [ -n "$stage" ]; then
+        stages="${stages:+$stages, }{\"stage\": \"${stage//\"/\\\"}\", \"seconds\": $elapsed}"
+        printf '[%s]\n' "$stages" > target/ci-stages.json
+    fi
+    stage=$1
     step_started=$SECONDS
 }
 
@@ -42,7 +55,6 @@ step "plugvolt-lint --workspace (SARIF + baseline ratchet)"
 # ratchet only shrinks. The SARIF log lands in target/plugvolt-lint.sarif
 # and is uploaded as a CI artifact; the baseline gates the exit code but
 # never censors the report. Suppressions: // plugvolt-lint: allow(<rule>)
-mkdir -p target
 cargo run -q -p plugvolt-analysis --bin plugvolt-lint -- --workspace \
     --format sarif --baseline results/lint-baseline.json \
     > target/plugvolt-lint.sarif

@@ -86,6 +86,8 @@ enum CliError {
         /// The flag it requires.
         requires: &'static str,
     },
+    /// `--workers 0`: every run needs at least one worker.
+    ZeroWorkers,
     /// Stream-file I/O failed.
     StreamIo {
         /// Stream destination path.
@@ -107,6 +109,7 @@ impl fmt::Display for CliError {
             CliError::RequiresFlag { flag, requires } => {
                 write!(f, "{flag} only makes sense together with {requires}")
             }
+            CliError::ZeroWorkers => write!(f, "--workers must be at least 1 (got 0)"),
             CliError::StreamIo { path, source } => {
                 write!(f, "cannot write telemetry stream to {path}: {source}")
             }
@@ -133,6 +136,15 @@ fn value_of(args: &[String], flag: &'static str) -> Result<Option<String>, CliEr
             Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
             _ => Err(CliError::MissingValue { flag }),
         },
+    }
+}
+
+/// A `--workers` value: a positive count, or a typed
+/// [`CliError::ZeroWorkers`] for 0.
+fn parse_workers(value: &str) -> Result<usize, Box<dyn std::error::Error>> {
+    match value.parse::<usize>()? {
+        0 => Err(CliError::ZeroWorkers.into()),
+        n => Ok(n),
     }
 }
 
@@ -166,7 +178,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 SweepConfig::default()
             };
-            let workers = opt("--workers").map_or(Ok(1), |s| s.parse::<usize>())?;
+            let workers = opt("--workers").map_or(Ok(1), |s| parse_workers(&s))?;
             let scn = Scenario::with_seed(seed);
             eprintln!(
                 "sweeping {model} ({} resolution, {workers} worker{})…",
@@ -348,7 +360,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 cfg.campaigns = n.parse::<u32>()?;
             }
             if let Some(n) = opt("--workers") {
-                cfg.workers = n.parse::<usize>()?;
+                cfg.workers = parse_workers(&n)?;
             }
             if let Some(m) = opt("--model") {
                 cfg.model = parse_model(&m)?;

@@ -263,16 +263,17 @@ fn defense_cell(
     })
 }
 
-/// Runs `cell_count` independent experiment cells, sequentially or over
-/// a worker pool, merging results in cell-index order.
+/// Runs `cell_count` independent experiment cells on the shared worker
+/// pool ([`plugvolt::pool::run_indexed`]), merging results in
+/// cell-index order.
 ///
 /// Every cell boots its own machines from seeds derived off the
 /// scenario's root seed and the cell's labels, so the merged vector is
-/// byte-identical for any worker count — the same claim-counter/slot
-/// engine as `characterize_sharded`. Parallel workers each construct a
-/// sink-free `Scenario` from the root seed (the telemetry sink is
+/// byte-identical for any worker count. On the pool each cell gets a
+/// sink-free `Scenario` on the root seed. The telemetry sink is
 /// `Rc`-based and single-threaded, so a sink on `scn` forces the
-/// sequential path; cells still see identical seed streams either way).
+/// sequential path on `scn` itself; cells see identical seed streams
+/// either way.
 pub(crate) fn run_cells<T, E, F>(
     scn: &Scenario,
     workers: usize,
@@ -284,39 +285,13 @@ where
     E: Send,
     F: Fn(&Scenario, usize) -> Result<T, E> + Sync,
 {
-    let workers = workers.clamp(1, cell_count.max(1));
-    if workers == 1 || scn.telemetry().is_some() {
+    if scn.telemetry().is_some() {
         return (0..cell_count).map(|i| cell(scn, i)).collect();
     }
-
     let root_seed = scn.root_seed();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<T, E>>>> = (0..cell_count)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let _worker = scope.spawn(|| {
-                let local = Scenario::with_seed(root_seed);
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= cell_count {
-                        break;
-                    }
-                    let result = cell(&local, i);
-                    *slots[i].lock().expect("cell slot poisoned") = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("cell slot poisoned")
-                .expect("every cell index was claimed by a worker")
-        })
-        .collect()
+    plugvolt::pool::run_indexed(workers, cell_count, |i| {
+        cell(&Scenario::with_seed(root_seed), i)
+    })
 }
 
 /// Checks that a benign −40 mV power-saving undervolt still lands and

@@ -456,47 +456,21 @@ pub fn characterize_sharded_traced(
     cfg.validate()?;
     let spec = model.spec();
     let freqs = sweep_frequencies(&spec, cfg);
-    let workers = workers.clamp(1, freqs.len().max(1));
     let trace = tracer.is_some_and(|t| t.is_enabled());
 
-    // One result slot per frequency; workers claim shard indices from a
-    // shared counter. `Machine` is not `Send`, so each shard constructs
-    // (and drops) its machine entirely inside its worker thread — only
-    // the plain-data sweep results (and span snapshots) cross back.
-    type ShardResult =
-        Result<(FreqSweep, SimDuration, plugvolt_telemetry::SpanSnapshot), MachineError>;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<ShardResult>>> =
-        freqs.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    // `Machine` is not `Send`, so each shard constructs (and drops) its
+    // machine entirely inside its worker thread — only the plain-data
+    // sweep results (and span snapshots) cross back.
+    let shards = crate::pool::run_indexed(workers, freqs.len(), |i| {
+        sweep_shard(model, root_seed, cfg, freqs[i], trace)
+    })
+    .map_err(CharacterizeError::Machine)?;
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let _worker = scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&freq) = freqs.get(i) else {
-                    break;
-                };
-                let result = sweep_shard(model, root_seed, cfg, freq, trace);
-                *slots[i].lock().expect("shard slot poisoned") = Some(result);
-            });
-        }
-    });
-
-    let spec_for_map = model.spec();
-    let mut map = CharacterizationMap::new(
-        spec_for_map.name,
-        spec_for_map.microcode,
-        cfg.offset_floor_mv,
-    );
+    let mut map = CharacterizationMap::new(spec.name, spec.microcode, cfg.offset_floor_mv);
     let mut records = Vec::new();
     let mut crashes = 0u32;
     let mut duration = SimDuration::ZERO;
-    for (freq, slot) in freqs.iter().zip(slots) {
-        let result = slot
-            .into_inner()
-            .expect("shard slot poisoned")
-            .expect("every shard index was claimed by a worker");
-        let (sweep, shard_duration, spans) = result.map_err(CharacterizeError::Machine)?;
+    for (freq, (sweep, shard_duration, spans)) in freqs.iter().zip(shards) {
         records.extend(sweep.records);
         crashes += sweep.crashes;
         duration += shard_duration;

@@ -60,6 +60,7 @@ pub mod deploy;
 pub mod exposure;
 pub mod maximal;
 pub mod poll;
+pub mod pool;
 pub mod state;
 
 pub use characterize::{

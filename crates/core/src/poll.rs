@@ -157,6 +157,9 @@ pub struct PollingModule {
     map: CharacterizationMap,
     cfg: PollConfig,
     stats: StatsHandle,
+    /// The current core's per-plane observations, refilled by
+    /// `poll_core` and kept between ticks so a tick allocates nothing.
+    observed: Vec<(Plane, SystemState)>,
 }
 
 impl PollingModule {
@@ -170,6 +173,7 @@ impl PollingModule {
                 map,
                 cfg,
                 stats: Rc::clone(&stats),
+                observed: Vec::new(),
             },
             stats,
         )
@@ -214,17 +218,23 @@ impl PollingModule {
         }
     }
 
-    /// Polls one core; returns the per-plane observations it made.
-    fn poll_core(&mut self, ctx: &mut ModuleCtx<'_>, core: CoreId) -> Vec<(Plane, SystemState)> {
+    /// Polls one core, replacing `out` with the per-plane observations
+    /// it made.
+    fn poll_core(
+        &self,
+        ctx: &mut ModuleCtx<'_>,
+        core: CoreId,
+        out: &mut Vec<(Plane, SystemState)>,
+    ) {
+        out.clear();
         ctx.charge(core, self.cfg.timer_overhead);
         ctx.tracer()
             .record_span("poll/overhead", self.cfg.timer_overhead.as_picos());
         // Algorithm 3 line 4: read 0x198, locally.
         let Ok(perf) = ctx.rdmsr_local(core, Msr::IA32_PERF_STATUS) else {
-            return Vec::new();
+            return;
         };
         let freq = FreqMhz(PerfStatus::decode(perf).freq_mhz());
-        let mut out = Vec::with_capacity(self.cfg.planes.len());
         if self.cfg.planes == [Plane::Core] {
             // Algorithm 3 line 5 verbatim: one read of the response
             // register; act on whatever plane it reflects.
@@ -239,7 +249,7 @@ impl PollingModule {
                     ));
                 }
             }
-            return out;
+            return;
         }
         for &plane in &self.cfg.planes {
             // Explicit read command per plane, then fetch the response.
@@ -260,7 +270,6 @@ impl PollingModule {
                 ));
             }
         }
-        out
     }
 }
 
@@ -288,13 +297,14 @@ impl KernelModule for PollingModule {
         self.stats.borrow_mut().ticks += 1;
         let cores = ctx.cpu().core_count();
         let restore_mv = self.restore_offset_mv();
+        let mut observed = std::mem::take(&mut self.observed);
         for c in 0..cores {
             let core = CoreId(c);
             if self.cfg.skip_idle_cores && !ctx.cpu().is_core_running(core).unwrap_or(true) {
                 continue;
             }
-            let observations = self.poll_core(ctx, core);
-            for (plane, state) in observations {
+            self.poll_core(ctx, core, &mut observed);
+            for &(plane, state) in &observed {
                 self.stats.borrow_mut().observations += 1;
                 // Algorithm 3 line 6: membership in the (guard-widened)
                 // unsafe set.
@@ -399,6 +409,7 @@ impl KernelModule for PollingModule {
                 }
             }
         }
+        self.observed = observed;
         Some(self.cfg.period)
     }
 

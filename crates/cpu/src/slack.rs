@@ -63,13 +63,19 @@ pub struct ClassEntry {
 
 /// One `(frequency, voltage)` grid point. Its two halves fill
 /// independently, each on the first query that needs it.
+///
+/// Each half is boxed, so an unfilled slot costs two pointers and two
+/// `Once` states (32 bytes) instead of the 208 bytes of both arrays
+/// inline. A column allocates all 513 slots on its first hit, yet a
+/// sweep fills only one half of the slots its offsets land on: boxing
+/// keeps a column at ~16 KB plus one small box per half filled.
 #[derive(Debug, Default)]
 struct Slot {
     /// Per-[`InstrClass`] entries, in [`InstrClass::ALL`] order.
-    classes: OnceLock<[ClassEntry; 5]>,
+    classes: OnceLock<Box<[ClassEntry; 5]>>,
     /// Per-operand-class entries of the EXECUTE-thread imul loop, in
     /// [`MultiplierUnit::IMUL_LOOP_CLASSES`] order.
-    imul_ops: OnceLock<[ClassEntry; 3]>,
+    imul_ops: OnceLock<Box<[ClassEntry; 3]>>,
 }
 
 /// Index of `class` into [`SlackTable::classes`] ([`InstrClass::ALL`]
@@ -217,7 +223,7 @@ impl SlackTable {
         let slot = self.slot(f, v_mv)?;
         Some(slot.classes.get_or_init(|| {
             let engine = self.engine();
-            InstrClass::ALL.map(|c| self.class_entry(engine.class_slack_ps(c, f, v_mv)))
+            Box::new(InstrClass::ALL.map(|c| self.class_entry(engine.class_slack_ps(c, f, v_mv))))
         }))
     }
 
@@ -231,9 +237,9 @@ impl SlackTable {
         Some(slot.imul_ops.get_or_init(|| {
             let engine = self.engine();
             let budget = engine.budget(f);
-            MultiplierUnit::IMUL_LOOP_CLASSES.map(|(_, a, b)| {
+            Box::new(MultiplierUnit::IMUL_LOOP_CLASSES.map(|(_, a, b)| {
                 self.class_entry(engine.multiplier().slack_ps(a, b, &budget, v_mv))
-            })
+            }))
         }))
     }
 
@@ -384,6 +390,14 @@ mod tests {
                 assert_eq!(ops[i].slack_ps.to_bits(), slack.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn an_unfilled_slot_is_two_pointers_wide() {
+        // perfbench's `peak_rss_mb` depends on this: a column allocates
+        // all 513 slots on its first hit, so inline entries (208 bytes a
+        // slot) cost ~107 KB per column where boxed halves cost ~16 KB.
+        assert!(std::mem::size_of::<Slot>() <= 32);
     }
 
     #[test]

@@ -15,10 +15,12 @@ use crate::suite::{Benchmark, Tuning, SUITE};
 use plugvolt::characterize::analytic_map;
 use plugvolt::charmap::CharacterizationMap;
 use plugvolt::poll::{PollConfig, PollingModule};
+use plugvolt::pool::run_indexed;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_kernel::machine::{Machine, MachineError};
 use plugvolt_telemetry::Sink;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
 
 /// Harness configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,9 +159,17 @@ pub fn measure_benchmark_with(
 
 /// Runs the whole Table 2 reproduction.
 ///
+/// The 23 benchmark rows run on the shared worker pool
+/// ([`plugvolt::pool::run_indexed`]), one worker per core the host
+/// reports (`std::thread::available_parallelism`). A row keeps its four
+/// machines together on one worker, each booted from the row's own
+/// seed, and rows merge in suite order, so the table is identical to
+/// the sequential fold of [`measure_benchmark`] over [`SUITE`] for any
+/// core count.
+///
 /// # Errors
 ///
-/// Propagates machine errors.
+/// Propagates the first machine error in suite order.
 pub fn run_table2(cfg: &OverheadConfig) -> Result<Table2, MachineError> {
     run_table2_with(cfg, None)
 }
@@ -167,18 +177,30 @@ pub fn run_table2(cfg: &OverheadConfig) -> Result<Table2, MachineError> {
 /// [`run_table2`] with an optional telemetry sink shared across the
 /// whole suite (every machine of every benchmark records into it).
 ///
+/// The sink is single-threaded, so passing one forces the sequential
+/// path: rows then run one after another on the calling thread, and
+/// the sink sees the same records in the same order on any host. The
+/// rows are the same with or without a sink.
+///
 /// # Errors
 ///
-/// Propagates machine errors.
+/// Propagates the first machine error in suite order.
 pub fn run_table2_with(
     cfg: &OverheadConfig,
     telemetry: Option<&Sink>,
 ) -> Result<Table2, MachineError> {
     let map = analytic_map(&cfg.model.spec());
-    let mut rows = Vec::with_capacity(SUITE.len());
-    for bench in &SUITE {
-        rows.push(measure_benchmark_with(bench, cfg, &map, telemetry)?);
-    }
+    let rows = match telemetry {
+        Some(_) => SUITE
+            .iter()
+            .map(|bench| measure_benchmark_with(bench, cfg, &map, telemetry))
+            .collect::<Result<Vec<_>, _>>()?,
+        None => run_indexed(
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            SUITE.len(),
+            |i| measure_benchmark(&SUITE[i], cfg, &map),
+        )?,
+    };
     let n = rows.len() as f64;
     let mean_base = rows.iter().map(|r| r.base_slowdown_pct).sum::<f64>() / n;
     let mean_peak = rows.iter().map(|r| r.peak_slowdown_pct).sum::<f64>() / n;

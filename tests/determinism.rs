@@ -64,6 +64,29 @@ fn table2_is_reproducible() {
 }
 
 #[test]
+fn table2_rows_match_the_sequential_fold() {
+    // `run_table2` farms its rows over every core the host reports;
+    // each row's machines seed from the row alone, so the table must
+    // equal a plain sequential fold over the suite on any host, and a
+    // telemetry sink (which forces the sequential path) must not change
+    // a row either.
+    let cfg = OverheadConfig {
+        work_divisor: 100,
+        ..OverheadConfig::default()
+    };
+    let map = plugvolt::characterize::analytic_map(&cfg.model.spec());
+    let folded: Vec<Table2Row> = SUITE
+        .iter()
+        .map(|bench| measure_benchmark(bench, &cfg, &map).expect("measures"))
+        .collect();
+    let pooled = run_table2(&cfg).expect("runs");
+    assert_eq!(pooled.rows, folded);
+    let sink = plugvolt_telemetry::Sink::new();
+    let traced = plugvolt_workloads::overhead::run_table2_with(&cfg, Some(&sink)).expect("runs");
+    assert_eq!(traced, pooled);
+}
+
+#[test]
 fn machine_histories_replay_exactly() {
     let run = || {
         let mut machine = Scenario::with_seed(11).machine(CpuModel::SkyLake);
