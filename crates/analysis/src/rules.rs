@@ -537,10 +537,11 @@ impl Rule for MachineConstructionDiscipline {
 /// Rule 8 — `hot-path-transcendentals`.
 ///
 /// The simulator's per-batch hot paths (`run_batch*`, `run_imul*`,
-/// `poll*`) are called millions of times per characterization sweep;
-/// the slack-table refactor exists precisely so they never evaluate the
-/// alpha-power delay model (`powf`) or the fault-band sigmoid
-/// (`exp`/`ln`) inline. A transcendental call creeping back into one of
+/// `poll*`) are called millions of times per characterization sweep,
+/// and the crypto victims' `execute_imul` once per modular multiply;
+/// the slack table and the engine's victim memo exist precisely so they
+/// never evaluate the alpha-power delay model (`powf`) or the
+/// fault-band sigmoid (`exp`/`ln`) inline. A transcendental call creeping back into one of
 /// those functions silently undoes the optimization — the results stay
 /// identical, only the sweep gets slow again — so the lint, not a perf
 /// regression six PRs later, is what catches it. The table module
@@ -548,8 +549,9 @@ impl Rule for MachineConstructionDiscipline {
 /// to pay the analytic cost, once per grid point per process.
 pub struct HotPathTranscendentals;
 
-/// Function-name prefixes whose bodies count as batch hot paths.
-const HOT_PATH_FN_PREFIXES: [&str; 3] = ["run_batch", "run_imul", "poll"];
+/// Function-name prefixes whose bodies count as hot paths: the batch
+/// entry points, the victim's per-multiply `execute_imul` and polling.
+const HOT_PATH_FN_PREFIXES: [&str; 4] = ["run_batch", "run_imul", "execute_imul", "poll"];
 
 impl Rule for HotPathTranscendentals {
     fn meta(&self) -> RuleMeta {
@@ -557,7 +559,7 @@ impl Rule for HotPathTranscendentals {
             id: "hot-path-transcendentals",
             severity: Severity::Error,
             summary: "powf/exp/ln calls banned in code reachable from the \
-                      characterize*/run_cells/run_batch*/run_imul*/poll*/queue entry \
+                      characterize*/run_cells/run_batch*/run_imul*/execute_imul/poll*/queue entry \
                       points (call-graph reachability); precompute via the slack table",
         }
     }
@@ -719,6 +721,23 @@ mod tests {
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert_eq!(hits[0].line, 2);
         assert_eq!(hits[1].line, 8);
+    }
+
+    #[test]
+    fn hot_path_transcendentals_covers_the_victim_imul() {
+        // The crypto victims' per-multiply entry point is a hot path:
+        // an inline transcendental there is flagged, one in a helper
+        // it calls is left to the call-graph half.
+        let src = "pub fn execute_imul(v: f64) -> f64 {\n    v.powf(1.3) + fill(v)\n}\n\
+                   fn fill(v: f64) -> f64 {\n    v.exp()\n}\n";
+        let findings = scan("crates/cpu/src/exec.rs", src);
+        let hits: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "hot-path-transcendentals")
+            .collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 2);
+        assert!(hits[0].message.contains("`execute_imul`"), "{hits:?}");
     }
 
     #[test]

@@ -772,18 +772,26 @@ impl WorkspaceRule for MsrDirectAccess {
 
 /// Rule 8 (workspace half) — `hot-path-transcendentals`.
 ///
-/// The per-file half scans `run_batch*`/`run_imul*`/`poll*` bodies; this
+/// The per-file half scans `run_batch*`/`run_imul*`/`execute_imul*`/`poll*`
+/// bodies; this
 /// half walks the call graph: any transcendental (`.powf`/`.exp`/`.ln`)
 /// in sim-crate code *reachable* from the characterization entry points
-/// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, `poll*`,
-/// and the event-queue API `schedule_at`/`pop_due`/`peek_time`) is a
+/// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, the
+/// victim's `execute_imul*`, `poll*`, and the event-queue API `schedule_at`/`pop_due`/`peek_time`) is a
 /// hot-path cost, even when it hides two calls down. Traversal stops at
 /// `crates/cpu/src/slack.rs` — the sanctioned table module pays the
 /// analytic cost once per grid point per process.
 pub struct HotPathReachability;
 
 /// Name prefixes that seed the hot-entry set.
-const ENTRY_PREFIXES: [&str; 5] = ["characterize", "run_cells", "run_batch", "run_imul", "poll"];
+const ENTRY_PREFIXES: [&str; 6] = [
+    "characterize",
+    "run_cells",
+    "run_batch",
+    "run_imul",
+    "execute_imul",
+    "poll",
+];
 
 /// Exact entry names: the event-queue API.
 const ENTRY_EXACT: [&str; 3] = ["schedule_at", "pop_due", "peek_time"];

@@ -201,6 +201,25 @@ fn unreached(x: f64) -> f64 {
 }
 
 #[test]
+fn hot_path_reachability_starts_at_the_victim_imul() {
+    // A victim's multiplies enter through `execute_imul`; a
+    // transcendental one call below it (a memo fill) is on the hot
+    // path, and the witness names the entry point.
+    let src = r#"
+pub fn execute_imul(a: u64, b: u64, v: f64) -> u64 {
+    if fill(v) > 0.5 { a } else { a.wrapping_mul(b) }
+}
+fn fill(v: f64) -> f64 {
+    1.0 / (1.0 + v.exp())
+}
+"#;
+    let findings = scan_str("crates/cpu/src/fixture.rs", src);
+    assert_eq!(rules_hit(&findings), ["hot-path-transcendentals"]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("execute_imul -> fill"));
+}
+
+#[test]
 fn msr_direct_access_names_the_enclosing_fn() {
     let src = r#"
 pub fn drain(machine: &mut Machine) -> u64 {

@@ -68,10 +68,12 @@ use plugvolt_telemetry::{
 use std::fmt;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// Typed errors for the newer CLI flags (`--attr`, `--trace-out`,
-/// `--flame-out`, `--stream`) — structured variants instead of ad-hoc
-/// `format!` strings, so callers and tests can match on the failure.
+/// Typed errors for the CLI flags (`--attr`, `--trace-out`,
+/// `--flame-out`, `--stream` and every numeric flag) — structured
+/// variants instead of ad-hoc `format!` strings, so callers and tests
+/// can match on the failure.
 #[derive(Debug)]
 enum CliError {
     /// A value-taking flag was passed without its value.
@@ -86,8 +88,25 @@ enum CliError {
         /// The flag it requires.
         requires: &'static str,
     },
-    /// `--workers 0`: every run needs at least one worker.
-    ZeroWorkers,
+    /// A numeric flag's value did not parse as a number of its type.
+    BadNumber {
+        /// The flag in question.
+        flag: &'static str,
+        /// The value as given on the command line.
+        value: String,
+        /// Why it did not parse.
+        reason: String,
+    },
+    /// A numeric flag's value parsed but means nothing to the run
+    /// (`--workers 0`, `--campaigns 0`, `--period-us nan`, …).
+    OutOfRange {
+        /// The flag in question.
+        flag: &'static str,
+        /// The value as given on the command line.
+        value: String,
+        /// The values the flag accepts, e.g. "at least 1".
+        expected: &'static str,
+    },
     /// Stream-file I/O failed.
     StreamIo {
         /// Stream destination path.
@@ -109,7 +128,16 @@ impl fmt::Display for CliError {
             CliError::RequiresFlag { flag, requires } => {
                 write!(f, "{flag} only makes sense together with {requires}")
             }
-            CliError::ZeroWorkers => write!(f, "--workers must be at least 1 (got 0)"),
+            CliError::BadNumber {
+                flag,
+                value,
+                reason,
+            } => write!(f, "{flag} expects a number (got {value:?}: {reason})"),
+            CliError::OutOfRange {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} must be {expected} (got {value})"),
             CliError::StreamIo { path, source } => {
                 write!(f, "cannot write telemetry stream to {path}: {source}")
             }
@@ -139,13 +167,68 @@ fn value_of(args: &[String], flag: &'static str) -> Result<Option<String>, CliEr
     }
 }
 
-/// A `--workers` value: a positive count, or a typed
-/// [`CliError::ZeroWorkers`] for 0.
-fn parse_workers(value: &str) -> Result<usize, Box<dyn std::error::Error>> {
-    match value.parse::<usize>()? {
-        0 => Err(CliError::ZeroWorkers.into()),
-        n => Ok(n),
+/// The value of numeric flag `flag`, parsed from its raw token and
+/// checked with `valid` (which `expected` describes, e.g. "at least 1").
+/// `Ok(None)` when the flag is absent. A missing value, a value that
+/// does not parse and a value that fails the check are each a typed
+/// [`CliError`] naming the flag, and the last two the raw value too.
+fn numeric_flag<T>(
+    args: &[String],
+    flag: &'static str,
+    expected: &'static str,
+    valid: impl FnOnce(&T) -> bool,
+) -> Result<Option<T>, CliError>
+where
+    T: FromStr,
+    T::Err: fmt::Display,
+{
+    let Some(raw) = value_of(args, flag)? else {
+        return Ok(None);
+    };
+    let value = raw.parse::<T>().map_err(|e| CliError::BadNumber {
+        flag,
+        value: raw.clone(),
+        reason: e.to_string(),
+    })?;
+    if valid(&value) {
+        Ok(Some(value))
+    } else {
+        Err(CliError::OutOfRange {
+            flag,
+            value: raw,
+            expected,
+        })
     }
+}
+
+/// A count flag that must be at least 1 (`--workers`, `--campaigns`,
+/// `--reads`).
+fn count_flag<T>(args: &[String], flag: &'static str) -> Result<Option<T>, CliError>
+where
+    T: FromStr + PartialOrd + From<u8>,
+    T::Err: fmt::Display,
+{
+    numeric_flag(args, flag, "at least 1", |n: &T| *n >= T::from(1))
+}
+
+/// A `--seed` value, in decimal or (as the banners print it) `0x` hex.
+struct Seed(u64);
+
+impl FromStr for Seed {
+    type Err = std::num::ParseIntError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => s.parse::<u64>(),
+        }
+        .map(Seed)
+    }
+}
+
+/// The `--seed` value, or `default` when the flag is absent.
+fn seed_flag(args: &[String], default: u64) -> Result<u64, CliError> {
+    Ok(numeric_flag(args, "--seed", "any u64", |_: &Seed| true)?.map_or(default, |s| s.0))
 }
 
 fn main() -> ExitCode {
@@ -172,13 +255,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "characterize" => {
             let model = parse_model(&opt("--model").ok_or("--model required")?)?;
             let out = opt("--out").ok_or("--out required")?;
-            let seed = opt("--seed").map_or(Ok(2024), |s| s.parse::<u64>())?;
+            let seed = seed_flag(&args, 2024)?;
             let cfg = if flag("--coarse") {
                 SweepConfig::coarse()
             } else {
                 SweepConfig::default()
             };
-            let workers = opt("--workers").map_or(Ok(1), |s| parse_workers(&s))?;
+            let workers = count_flag(&args, "--workers")?.unwrap_or(1);
             let scn = Scenario::with_seed(seed);
             eprintln!(
                 "sweeping {model} ({} resolution, {workers} worker{})…",
@@ -215,8 +298,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         "maximal" => {
+            let margin =
+                numeric_flag(&args, "--margin", "at least 0 mV", |m: &i32| *m >= 0)?.unwrap_or(5);
             let map = load_map(&opt("--map").ok_or("--map required")?)?;
-            let margin = opt("--margin").map_or(Ok(5), |s| s.parse::<i32>())?;
             match MaximalSafeState::from_map(&map, margin) {
                 Some(mss) => {
                     println!(
@@ -356,11 +440,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 plugvolt_bench::soak::SoakConfig::default()
             };
-            if let Some(n) = opt("--campaigns") {
-                cfg.campaigns = n.parse::<u32>()?;
+            if let Some(n) = count_flag(&args, "--campaigns")? {
+                cfg.campaigns = n;
             }
-            if let Some(n) = opt("--workers") {
-                cfg.workers = parse_workers(&n)?;
+            if let Some(n) = count_flag(&args, "--workers")? {
+                cfg.workers = n;
             }
             if let Some(m) = opt("--model") {
                 cfg.model = parse_model(&m)?;
@@ -368,8 +452,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             if flag("--no-self-test") {
                 cfg.self_test = false;
             }
-            let seed =
-                opt("--seed").map_or(Ok(plugvolt_bench::scenario::SEED), |s| parse_seed(&s))?;
+            let seed = seed_flag(&args, plugvolt_bench::scenario::SEED)?;
             let corpus = opt("--corpus");
             let stream_path = value_of(&args, "--stream")?;
             let mut scn = Scenario::with_seed(seed);
@@ -573,24 +656,12 @@ fn attr_command(args: &[String], smoke: bool) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-/// The banner echoes seeds in hex; accept them back in either radix so
-/// a printed seed is always pasteable.
-fn parse_seed(s: &str) -> Result<u64, std::num::ParseIntError> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse::<u64>(),
-    }
-}
-
 /// `soak --record FILE`: records the deterministic fixture campaign
 /// (all four deployment levels) onto one MSR transcript and writes the
 /// pinned-schema JSONL to `FILE`. Refuses to write a fixture whose
 /// campaign violates an oracle.
 fn record_command(args: &[String], path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let seed = match value_of(args, "--seed")? {
-        Some(s) => parse_seed(&s)?,
-        None => plugvolt_bench::scenario::SEED,
-    };
+    let seed = seed_flag(args, plugvolt_bench::scenario::SEED)?;
     let model = match value_of(args, "--model")? {
         Some(m) => parse_model(&m)?,
         None => CpuModel::CometLake,
@@ -635,14 +706,17 @@ fn replay_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// without root (unreadable cores are reported, not fatal).
 #[cfg(target_os = "linux")]
 fn host_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let reads = match value_of(args, "--reads")? {
-        Some(n) => n.parse::<u32>()?,
-        None => 64,
-    };
-    let period_us = match value_of(args, "--period-us")? {
-        Some(n) => n.parse::<f64>()?,
-        None => 100.0,
-    };
+    let reads = count_flag(args, "--reads")?.unwrap_or(64);
+    // The same 1 µs – 1 s range campaign schedules accept for their
+    // polling period; NaN and infinities fail the range check.
+    let max_period_us = plugvolt_attacks::schedule::MAX_SCHEDULE_HORIZON_US as f64;
+    let period_us = numeric_flag(
+        args,
+        "--period-us",
+        "a finite period between 1 and 1000000 µs",
+        |p: &f64| (1.0..=max_period_us).contains(p),
+    )?
+    .unwrap_or(100.0);
     let report = plugvolt_hal::host::probe_poll_overhead(reads);
     print!("{}", report.render_text(period_us));
     Ok(())

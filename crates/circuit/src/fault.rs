@@ -114,18 +114,12 @@ impl FaultModel {
         significant_bits: u32,
         rng: &mut SimRng,
     ) -> FaultOutcome {
-        match self.classify(slack_ps) {
-            TimingState::Crash => FaultOutcome::Crash,
-            TimingState::Safe | TimingState::Unsafe => {
-                if rng.chance(self.fault_probability(slack_ps)) {
-                    FaultOutcome::Faulted {
-                        flip_mask: sample_flip_mask(significant_bits, rng),
-                    }
-                } else {
-                    FaultOutcome::Correct
-                }
-            }
-        }
+        draw_outcome(
+            self.classify(slack_ps),
+            self.fault_probability(slack_ps),
+            significant_bits,
+            rng,
+        )
     }
 
     /// Number of faulted operations among `n` independent operations at
@@ -133,6 +127,32 @@ impl FaultModel {
     /// `n` times so million-iteration characterization loops stay fast.
     pub fn sample_fault_count(&self, slack_ps: Picoseconds, n: u64, rng: &mut SimRng) -> u64 {
         sample_binomial(n, self.fault_probability(slack_ps), rng)
+    }
+}
+
+/// Draws the outcome of one operation whose slack classified as `state`
+/// and faults with probability `fault_p`: a crash consumes no
+/// randomness; otherwise one Bernoulli(`fault_p`) draw, and on a fault a
+/// [`sample_flip_mask`] over `significant_bits`.
+///
+/// This is the only place a single operation's fault is drawn, so every
+/// caller that derives the same `(state, fault_p)` — analytically per
+/// call or from a cache — consumes the RNG stream identically.
+pub fn draw_outcome(
+    state: TimingState,
+    fault_p: f64,
+    significant_bits: u32,
+    rng: &mut SimRng,
+) -> FaultOutcome {
+    if state == TimingState::Crash {
+        return FaultOutcome::Crash;
+    }
+    if rng.chance(fault_p) {
+        FaultOutcome::Faulted {
+            flip_mask: sample_flip_mask(significant_bits, rng),
+        }
+    } else {
+        FaultOutcome::Correct
     }
 }
 

@@ -16,8 +16,8 @@
 //! sweeps over millions of iterations stay fast.
 
 use crate::delay::{AlphaPowerModel, DelayModel, Millivolts, Picoseconds};
-use crate::fault::{FaultModel, FaultOutcome};
-use crate::timing::TimingBudget;
+use crate::fault::{draw_outcome, FaultModel, FaultOutcome};
+use crate::timing::{TimingBudget, TimingState};
 use plugvolt_des::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -28,6 +28,30 @@ pub struct MulExecution {
     pub value: u64,
     /// What happened microarchitecturally.
     pub outcome: FaultOutcome,
+}
+
+impl MulExecution {
+    /// Draws one `imul` whose operands' slack classified as `state` and
+    /// faults with probability `fault_p` (see [`draw_outcome`]), and
+    /// applies the flip mask of a fault to the `correct` product.
+    ///
+    /// Both the analytic [`MultiplierUnit::execute`] and callers that
+    /// cache `(state, fault_p)` per operand width go through here, so
+    /// they return the same value and consume the same RNG draws.
+    pub fn draw(
+        correct: u64,
+        state: TimingState,
+        fault_p: f64,
+        significant_bits: u32,
+        rng: &mut SimRng,
+    ) -> Self {
+        let outcome = draw_outcome(state, fault_p, significant_bits, rng);
+        let value = match outcome {
+            FaultOutcome::Faulted { flip_mask } => correct ^ flip_mask,
+            _ => correct,
+        };
+        MulExecution { value, outcome }
+    }
 }
 
 /// The multiplier datapath timing model.
@@ -154,14 +178,14 @@ impl MultiplierUnit {
         fm: &FaultModel,
         rng: &mut SimRng,
     ) -> MulExecution {
-        let correct = a.wrapping_mul(b);
         let slack = self.slack_ps(a, b, budget, v_mv);
-        let outcome = fm.sample(slack, Self::significant_bits(a, b), rng);
-        let value = match outcome {
-            FaultOutcome::Faulted { flip_mask } => correct ^ flip_mask,
-            _ => correct,
-        };
-        MulExecution { value, outcome }
+        MulExecution::draw(
+            a.wrapping_mul(b),
+            fm.classify(slack),
+            fm.fault_probability(slack),
+            Self::significant_bits(a, b),
+            rng,
+        )
     }
 
     /// The operand-width mix an EXECUTE-thread loop of pseudo-random
@@ -194,7 +218,7 @@ impl MultiplierUnit {
         for (frac, a, b) in Self::IMUL_LOOP_CLASSES {
             let n = (iters as f64 * frac).round() as u64;
             let slack = self.slack_ps(a, b, budget, v_mv);
-            if fm.classify(slack) == crate::timing::TimingState::Crash {
+            if fm.classify(slack) == TimingState::Crash {
                 return LoopOutcome::Crashed { completed: 0 };
             }
             faults += fm.sample_fault_count(slack, n, rng);

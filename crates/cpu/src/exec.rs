@@ -11,12 +11,12 @@ use crate::freq::FreqMhz;
 use crate::slack::{class_index, SlackTable};
 use plugvolt_circuit::delay::{Millivolts, Picoseconds};
 use plugvolt_circuit::fault::{sample_binomial, FaultModel};
-use plugvolt_circuit::multiplier::MultiplierUnit;
+use plugvolt_circuit::multiplier::{MulExecution, MultiplierUnit};
 use plugvolt_circuit::timing::{TimingBudget, TimingState};
 use plugvolt_des::rng::SimRng;
 use plugvolt_des::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Instruction classes the engine models.
@@ -140,6 +140,40 @@ pub struct ExecutionEngine {
     table_hits: Cell<u64>,
     /// Batches that missed the table (or ran with none attached).
     table_fallbacks: Cell<u64>,
+    /// Victim `imul` timing at the last rail state `execute_imul` saw;
+    /// boxed on first use (see [`ImulMemo`]).
+    imul_memo: RefCell<Option<Box<ImulMemo>>>,
+}
+
+/// Operand widths an `imul` can exercise:
+/// [`MultiplierUnit::significant_bits`] is clamped to `2..=64`.
+const IMUL_WIDTHS: usize = 63;
+
+/// The victim `imul`'s timing at one rail state, memoized per operand
+/// width.
+///
+/// Operands reach the timing model only through
+/// [`MultiplierUnit::significant_bits`], so at one `(frequency,
+/// voltage)` an `imul` has at most [`IMUL_WIDTHS`] distinct `(state,
+/// fault probability)` pairs. Each is filled on the first multiply of
+/// that width by the same `slack_ps`, `classify` and
+/// `fault_probability` calls [`MultiplierUnit::execute`] makes, so it
+/// holds the same bits the analytic path would compute.
+#[derive(Debug, Clone)]
+struct ImulMemo {
+    /// `(f.mhz(), v_mv.to_bits())` the entries belong to.
+    key: (u32, u64),
+    /// `(state, fault probability)` per width, indexed `bits - 2`.
+    entries: [Option<(TimingState, f64)>; IMUL_WIDTHS],
+}
+
+impl ImulMemo {
+    fn empty(key: (u32, u64)) -> Self {
+        ImulMemo {
+            key,
+            entries: [None; IMUL_WIDTHS],
+        }
+    }
 }
 
 impl ExecutionEngine {
@@ -159,6 +193,7 @@ impl ExecutionEngine {
             table: None,
             table_hits: Cell::new(0),
             table_fallbacks: Cell::new(0),
+            imul_memo: RefCell::new(None),
         }
     }
 
@@ -225,6 +260,17 @@ impl ExecutionEngine {
 
     /// Executes one `imul` with explicit operands, exactly (used by the
     /// crypto victims, where *which* bits flip matters).
+    ///
+    /// Returns what [`MultiplierUnit::execute`] returns for the same
+    /// budget, voltage and RNG state, bit for bit, but evaluates the
+    /// timing model only once per operand width per rail state: a
+    /// victim runs thousands of multiplies at one `(f, v_mv)`, and the
+    /// operands reach the timing model only through their width. The
+    /// memo is keyed on `(f.mhz(), v_mv.to_bits())`, so any rail
+    /// state — on the slack-table grid, mid-slew or on a unit-varied
+    /// spec — hits from its second multiply of a width on, and a new
+    /// state starts the memo over. It is allocated on the first call,
+    /// so an engine that never runs a victim carries only an empty slot.
     #[must_use]
     pub fn execute_imul(
         &self,
@@ -233,9 +279,22 @@ impl ExecutionEngine {
         f: FreqMhz,
         v_mv: Millivolts,
         rng: &mut SimRng,
-    ) -> plugvolt_circuit::multiplier::MulExecution {
-        self.mul
-            .execute(a, b, &self.budget(f), v_mv, &self.fault_model, rng)
+    ) -> MulExecution {
+        let bits = MultiplierUnit::significant_bits(a, b);
+        let key = (f.mhz(), v_mv.to_bits());
+        let mut slot = self.imul_memo.borrow_mut();
+        let memo = slot.get_or_insert_with(|| Box::new(ImulMemo::empty(key)));
+        if memo.key != key {
+            **memo = ImulMemo::empty(key);
+        }
+        let (state, fault_p) = *memo.entries[bits as usize - 2].get_or_insert_with(|| {
+            let slack = self.mul.slack_ps(a, b, &self.budget(f), v_mv);
+            (
+                self.fault_model.classify(slack),
+                self.fault_model.fault_probability(slack),
+            )
+        });
+        MulExecution::draw(a.wrapping_mul(b), state, fault_p, bits, rng)
     }
 
     /// Runs the paper's EXECUTE-thread loop: `iters` `imul`s with varying
@@ -430,6 +489,73 @@ mod tests {
             ex.value,
             0xDEAD_BEEF_CAFE_F00Du64.wrapping_mul(0x1234_5678_9ABC_DEF0)
         );
+    }
+
+    #[test]
+    fn memoized_imul_matches_the_analytic_multiplier_bit_for_bit() {
+        let e = engine();
+        let spec = CpuModel::CometLake.spec();
+        let (f_a, f_b) = (FreqMhz(3_000), FreqMhz(2_000));
+        let full_width = |f: FreqMhz, v: f64| {
+            e.fault_model()
+                .classify(e.multiplier().slack_ps(u64::MAX, u64::MAX, &e.budget(f), v))
+        };
+        // A few millivolts into the fault band of the full-width path.
+        let mut unsafe_mv = spec.nominal_voltage_mv(f_a);
+        while full_width(f_a, unsafe_mv) == TimingState::Safe {
+            unsafe_mv -= 1.0;
+        }
+        unsafe_mv -= 3.0;
+        assert_eq!(full_width(f_a, unsafe_mv), TimingState::Unsafe);
+        let safe_mv = spec.nominal_voltage_mv(f_a);
+        let crash_mv = 450.0;
+        assert_eq!(full_width(f_b, crash_mv), TimingState::Crash);
+        // Rail states in the order A, A, B (same frequency, safe
+        // voltage), A, then A's voltage at a new frequency, then a crash
+        // at that frequency: hits, resets and refills of the memo, and a
+        // key that dropped either half would reuse stale entries.
+        let states = [
+            (f_a, unsafe_mv),
+            (f_a, unsafe_mv),
+            (f_a, safe_mv),
+            (f_a, unsafe_mv),
+            (f_b, unsafe_mv),
+            (f_b, crash_mv),
+        ];
+        // Every significant-bit count 2..=64: zero and one, then one
+        // operand of each width against 1, then full-width pairs.
+        let mut operands = vec![(0u64, 0u64), (0, 1), (1, 1), (1, 0)];
+        operands.extend((1..=64).map(|w| (u64::MAX >> (64 - w), 1)));
+        operands.extend((0..64).map(|i| (u64::MAX - i, u64::MAX - 7 * i)));
+        let widths: std::collections::BTreeSet<u32> = operands
+            .iter()
+            .map(|&(a, b)| MultiplierUnit::significant_bits(a, b))
+            .collect();
+        assert_eq!(widths, (2..=64).collect());
+        let mut memo_rng = rng();
+        let mut analytic_rng = rng();
+        let mut faults = 0;
+        for (f, v) in states {
+            for &(a, b) in &operands {
+                let memo = e.execute_imul(a, b, f, v, &mut memo_rng);
+                let analytic = e.multiplier().execute(
+                    a,
+                    b,
+                    &e.budget(f),
+                    v,
+                    e.fault_model(),
+                    &mut analytic_rng,
+                );
+                assert_eq!(memo.value, analytic.value, "{a:#x}*{b:#x} at {f} {v} mV");
+                assert_eq!(
+                    memo.outcome, analytic.outcome,
+                    "{a:#x}*{b:#x} at {f} {v} mV"
+                );
+                faults += usize::from(memo.outcome.is_faulted());
+            }
+        }
+        assert!(faults > 0, "the unsafe state never faulted");
+        assert_eq!(memo_rng.next_u64(), analytic_rng.next_u64());
     }
 
     #[test]
