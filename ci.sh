@@ -23,25 +23,38 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Each step prints how long the previous one took, so a CI log doubles
-# as a coarse per-stage timing profile. The same wall seconds land in
-# target/ci-stages.json ([{"stage": …, "seconds": …}, …], rewritten as
-# each stage ends), which the workflow uploads, so end-to-end CI cost
-# has a trajectory too — a failing run keeps the stages it finished.
+# as a per-stage timing profile. The same wall milliseconds land in
+# target/ci-stages.json ([{"stage": …, "ms": …}, …], rewritten as each
+# stage ends), which the workflow uploads, so end-to-end CI cost has a
+# trajectory too — a failing run keeps the stages it finished.
 mkdir -p target
 rm -f target/ci-stages.json
-ci_started=$SECONDS
-step_started=$SECONDS
+# Wall clock in milliseconds: bash >= 5's $EPOCHREALTIME (seconds with
+# six fractional digits; the separator follows the locale, so keep only
+# the digits), else whole $SECONDS.
+now_ms() {
+    if [ -n "${EPOCHREALTIME:-}" ]; then
+        local us=${EPOCHREALTIME//[!0-9]/}
+        echo $((10#$us / 1000))
+    else
+        echo $((SECONDS * 1000))
+    fi
+}
+ci_started=$(now_ms)
+step_started=$ci_started
 stage=""
 stages=""
 step() {
-    local elapsed=$((SECONDS - step_started))
-    printf '\n==> %s (previous step: %ds)\n' "$1" "$elapsed"
+    local now elapsed
+    now=$(now_ms)
+    elapsed=$((now - step_started))
+    printf '\n==> %s (previous step: %d ms)\n' "$1" "$elapsed"
     if [ -n "$stage" ]; then
-        stages="${stages:+$stages, }{\"stage\": \"${stage//\"/\\\"}\", \"seconds\": $elapsed}"
+        stages="${stages:+$stages, }{\"stage\": \"${stage//\"/\\\"}\", \"ms\": $elapsed}"
         printf '[%s]\n' "$stages" > target/ci-stages.json
     fi
     stage=$1
-    step_started=$SECONDS
+    step_started=$now
 }
 
 step "cargo fmt --check"
@@ -142,4 +155,4 @@ step "golden results match"
 scripts/golden.sh check
 
 step "all green"
-printf 'total: %ds\n' "$((SECONDS - ci_started))"
+printf 'total: %d ms\n' "$(($(now_ms) - ci_started))"

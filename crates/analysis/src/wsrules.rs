@@ -773,12 +773,11 @@ impl WorkspaceRule for MsrDirectAccess {
 /// Rule 8 (workspace half) — `hot-path-transcendentals`.
 ///
 /// The per-file half scans `run_batch*`/`run_imul*`/`execute_imul*`/`poll*`
-/// bodies; this
-/// half walks the call graph: any transcendental (`.powf`/`.exp`/`.ln`)
-/// in sim-crate code *reachable* from the characterization entry points
-/// (`characterize*`, `run_cells*`, `run_batch*`, `run_imul*`, the
-/// victim's `execute_imul*`, `poll*`, and the event-queue API `schedule_at`/`pop_due`/`peek_time`) is a
-/// hot-path cost, even when it hides two calls down. Traversal stops at
+/// bodies; this half walks the call graph: any transcendental
+/// (`.powf`/`.exp`/`.ln`) in sim-crate code *reachable* from the
+/// characterization entry points (`characterize*`, `run_cells*`,
+/// `run_batch*`, `run_imul*`, the victim's `execute_imul*` and `poll*`)
+/// is a hot-path cost, even when it hides two calls down. Traversal stops at
 /// `crates/cpu/src/slack.rs` — the sanctioned table module pays the
 /// analytic cost once per grid point per process.
 pub struct HotPathReachability;
@@ -792,9 +791,6 @@ const ENTRY_PREFIXES: [&str; 6] = [
     "execute_imul",
     "poll",
 ];
-
-/// Exact entry names: the event-queue API.
-const ENTRY_EXACT: [&str; 3] = ["schedule_at", "pop_due", "peek_time"];
 
 /// The sanctioned analytic site; reachable, but not expanded through.
 const BOUNDARY_PATH: &str = "crates/cpu/src/slack.rs";
@@ -818,11 +814,7 @@ impl WorkspaceRule for HotPathReachability {
             .index
             .fns
             .iter()
-            .filter(|s| {
-                !s.in_test_code
-                    && (ENTRY_PREFIXES.iter().any(|p| s.name.starts_with(p))
-                        || ENTRY_EXACT.contains(&s.name.as_str()))
-            })
+            .filter(|s| !s.in_test_code && ENTRY_PREFIXES.iter().any(|p| s.name.starts_with(p)))
             .map(|s| s.id)
             .collect();
         let boundaries: BTreeSet<FnId> = ws

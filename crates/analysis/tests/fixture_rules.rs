@@ -69,7 +69,7 @@ fn no_unordered_iteration_fires() {
 #[test]
 fn no_unordered_iteration_is_scoped_to_result_modules() {
     let findings = scan(
-        "crates/des/src/queue.rs",
+        "crates/des/src/stats.rs",
         include_str!("fixtures/no_unordered_iteration.rs"),
     );
     assert!(findings.is_empty(), "{findings:?}");

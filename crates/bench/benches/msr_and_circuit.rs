@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use plugvolt_circuit::fault::{sample_binomial, FaultModel};
 use plugvolt_circuit::multiplier::MultiplierUnit;
-use plugvolt_circuit::netlist::array_multiplier;
 use plugvolt_circuit::timing::TimingBudget;
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::model::CpuModel;
@@ -93,21 +92,6 @@ fn bench_fault_sampling(c: &mut Criterion) {
     });
 }
 
-fn bench_netlist_sta(c: &mut Criterion) {
-    let mul = array_multiplier(8);
-    let unit = plugvolt_circuit::delay::AlphaPowerModel::calibrated(10.0, 1_000.0, 320.0, 1.4);
-    c.bench_function("netlist/8x8-multiplier-sta", |b| {
-        b.iter(|| black_box(mul.netlist.critical_delay_ps(&unit, 950.0, &mul.out)));
-    });
-    c.bench_function("netlist/8x8-multiplier-eval", |b| {
-        let mut x = 1u64;
-        b.iter(|| {
-            x = (x * 7 + 3) % 256;
-            black_box(mul.compute(x, 255 - x))
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_mailbox_codec,
@@ -116,7 +100,6 @@ criterion_group!(
     bench_multiplier_paths,
     bench_million_imul_loop,
     bench_binomial_sampler,
-    bench_fault_sampling,
-    bench_netlist_sta
+    bench_fault_sampling
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of *Plug Your Volt* (DAC 2024).
 //!
 //! ```text
-//! repro [--full] <experiment>
+//! repro [--full] [--json] [--telemetry <path>] [--stream <path>] <experiment>
 //!
 //! experiments:
 //!   table1    MSR 0x150 bit layout (paper Table 1)
@@ -31,6 +31,8 @@
 //!        simulated millisecond while the characterization figures
 //!        (fig2/fig3/fig4) sweep; each experiment is re-based onto one
 //!        monotone stream clock.
+//!
+//! Any other flag, or a second experiment, exits 2 with the usage line.
 //! ```
 
 use plugvolt::characterize::CharacterizationRun;
@@ -45,41 +47,90 @@ use plugvolt_telemetry::{Sink, StreamCursor};
 use plugvolt_workloads::overhead::{run_table2_with, OverheadConfig};
 use std::process::ExitCode;
 
+/// Every experiment name `repro` accepts; `all` runs the others in this order.
+const EXPERIMENTS: [&str; 15] = [
+    "table1", "fig1", "fig2", "fig3", "fig4", "table2", "defense", "levels", "stepping",
+    "interval", "planes", "energy", "units", "attest", "all",
+];
+
+const USAGE: &str = "usage: repro [--full] [--json] [--telemetry <path>] [--stream <path>] \
+                     <table1|fig1|fig2|fig3|fig4|table2|defense|levels|stepping|interval|planes|energy|units|attest|all>";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    full: bool,
+    json: bool,
+    telemetry_path: Option<String>,
+    stream_path: Option<String>,
+    cmd: String,
+}
+
+/// Parses `repro`'s argv (program name excluded). Every token must be a
+/// known flag, the value of `--telemetry`/`--stream`, or the one
+/// experiment name; the error names the first token that is none of
+/// these.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut full = false;
+    let mut json = false;
+    let mut telemetry_path = None;
+    let mut stream_path = None;
+    let mut cmd: Option<String> = None;
+    let mut tokens = args.iter();
+    while let Some(arg) = tokens.next() {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--json" => json = true,
+            "--telemetry" | "--stream" => {
+                let path = tokens
+                    .next()
+                    .filter(|p| !p.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} requires a file path argument"))?;
+                let slot = if arg == "--telemetry" {
+                    &mut telemetry_path
+                } else {
+                    &mut stream_path
+                };
+                *slot = Some(path.clone());
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            name => {
+                if let Some(first) = &cmd {
+                    return Err(format!(
+                        "unexpected argument '{name}' (experiment '{first}' already given)"
+                    ));
+                }
+                if !EXPERIMENTS.contains(&name) {
+                    return Err(format!("unknown experiment '{name}'"));
+                }
+                cmd = Some(name.to_owned());
+            }
+        }
+    }
+    let cmd = cmd.ok_or_else(|| "missing experiment".to_owned())?;
+    Ok(Args {
+        full,
+        json,
+        telemetry_path,
+        stream_path,
+        cmd,
+    })
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let json = args.iter().any(|a| a == "--json");
-    JSON_MODE.store(json, std::sync::atomic::Ordering::Relaxed);
-    let tpos = args.iter().position(|a| a == "--telemetry");
-    let telemetry_path = tpos.and_then(|i| args.get(i + 1)).cloned();
-    if tpos.is_some()
-        && telemetry_path
-            .as_deref()
-            .map_or(true, |p| p.starts_with("--"))
-    {
-        eprintln!("--telemetry requires a file path argument");
-        return ExitCode::from(2);
-    }
-    let spos = args.iter().position(|a| a == "--stream");
-    let stream_path = spos.and_then(|i| args.get(i + 1)).cloned();
-    if spos.is_some() && stream_path.as_deref().map_or(true, |p| p.starts_with("--")) {
-        eprintln!("--stream requires a file path argument");
-        return ExitCode::from(2);
-    }
-    // The tokens right after --telemetry / --stream are their values,
-    // not the command.
-    let cmd = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && tpos.map_or(true, |t| *i != t + 1)
-                && spos.map_or(true, |s| *i != s + 1)
-        })
-        .map(|(_, a)| a.clone());
-    let Some(cmd) = cmd else {
-        eprintln!("usage: repro [--full] [--json] [--telemetry <path>] [--stream <path>] <table1|fig1|fig2|fig3|fig4|table2|defense|levels|stepping|interval|planes|energy|units|attest|all>");
-        return ExitCode::from(2);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        full,
+        json,
+        telemetry_path,
+        stream_path,
+        cmd,
+    } = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("repro: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     let sink = (telemetry_path.is_some() || stream_path.is_some()).then(Sink::new);
     let scn = match &sink {
@@ -102,15 +153,12 @@ fn main() -> ExitCode {
         _ => None,
     };
     let run = |name: &str| cmd == "all" || cmd == name;
-    let mut matched = cmd == "all";
 
     if run("table1") {
-        matched = true;
-        table1();
+        table1(json);
     }
     if run("fig1") {
-        matched = true;
-        fig1();
+        fig1(json);
     }
     for (name, model) in [
         ("fig2", CpuModel::SkyLake),
@@ -118,49 +166,35 @@ fn main() -> ExitCode {
         ("fig4", CpuModel::CometLake),
     ] {
         if run(name) {
-            matched = true;
-            figure(&scn, name, model, full, stream.as_mut());
+            figure(&scn, name, model, full, json, stream.as_mut());
         }
     }
     if run("table2") {
-        matched = true;
-        table2(&scn, full);
+        table2(&scn, full, json);
     }
     if run("defense") {
-        matched = true;
-        defense(&scn);
+        defense(&scn, json);
     }
     if run("levels") {
-        matched = true;
-        levels(&scn);
+        levels(&scn, json);
     }
     if run("stepping") {
-        matched = true;
-        stepping(&scn);
+        stepping(&scn, json);
     }
     if run("interval") {
-        matched = true;
-        interval(&scn);
+        interval(&scn, json);
     }
     if run("planes") {
-        matched = true;
-        planes(&scn);
+        planes(&scn, json);
     }
     if run("energy") {
-        matched = true;
-        energy(&scn);
+        energy(&scn, json);
     }
     if run("units") {
-        matched = true;
-        units(&scn);
+        units(&scn, json);
     }
     if run("attest") {
-        matched = true;
-        attest(&scn);
-    }
-    if !matched {
-        eprintln!("unknown experiment '{cmd}'");
-        return ExitCode::from(2);
+        attest(&scn, json);
     }
     if let (Some(w), Some(sink)) = (stream.as_mut(), &sink) {
         match w.finish(sink) {
@@ -259,12 +293,6 @@ impl StreamWriter {
     }
 }
 
-static JSON_MODE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-fn json_mode() -> bool {
-    JSON_MODE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Worker count for the parallel experiment matrices. The merged
 /// results are byte-identical for any worker count (pinned by
 /// `tests/determinism.rs`), so using every available core is safe.
@@ -273,8 +301,8 @@ fn matrix_workers() -> usize {
 }
 
 /// In JSON mode, print the serialized payload and skip the table.
-fn emit_json<T: serde::Serialize>(name: &str, payload: &T) -> bool {
-    if !json_mode() {
+fn emit_json<T: serde::Serialize>(json: bool, name: &str, payload: &T) -> bool {
+    if !json {
         return false;
     }
     println!(
@@ -284,14 +312,14 @@ fn emit_json<T: serde::Serialize>(name: &str, payload: &T) -> bool {
     true
 }
 
-fn banner(title: &str) {
-    if !json_mode() {
+fn banner(json: bool, title: &str) {
+    if !json {
         println!("\n=== {title} ===\n");
     }
 }
 
-fn table1() {
-    banner("Table 1: MSR 0x150 (overclocking mailbox) bit layout");
+fn table1(json: bool) {
+    banner(json, "Table 1: MSR 0x150 (overclocking mailbox) bit layout");
     let mut t = TextTable::new(["bits", "function", "explanation"]);
     t.row(["0-20", "-", "reserved"]);
     t.row([
@@ -325,8 +353,11 @@ fn table1() {
     print!("{}", t.render());
 }
 
-fn fig1() {
-    banner("Figure 1: Eq. 1 interplay under undervolting (Sky Lake @ 3.6 GHz)");
+fn fig1(json: bool) {
+    banner(
+        json,
+        "Figure 1: Eq. 1 interplay under undervolting (Sky Lake @ 3.6 GHz)",
+    );
     let series = experiments::fig1_series(CpuModel::SkyLake, FreqMhz(3_600), 260);
     let mut t = TextTable::new([
         "offset (mV)",
@@ -352,16 +383,20 @@ fn figure(
     name: &str,
     model: CpuModel,
     full: bool,
+    json: bool,
     stream: Option<&mut StreamWriter>,
 ) {
     let spec = model.spec();
-    banner(&format!(
-        "{}: safe/unsafe characterization of {} ({}, microcode {:#x})",
-        name.to_uppercase(),
-        spec.codename,
-        spec.name,
-        spec.microcode
-    ));
+    banner(
+        json,
+        &format!(
+            "{}: safe/unsafe characterization of {} ({}, microcode {:#x})",
+            name.to_uppercase(),
+            spec.codename,
+            spec.name,
+            spec.microcode
+        ),
+    );
     let run: CharacterizationRun = match stream {
         Some(w) => {
             w.begin_experiment();
@@ -372,7 +407,7 @@ fn figure(
         None => experiments::figure_characterization(scn, model, full),
     }
     .expect("sweep completes");
-    if emit_json(name, &run.map) {
+    if emit_json(json, name, &run.map) {
         return;
     }
     let mut t = TextTable::new([
@@ -409,14 +444,17 @@ fn figure(
     }
 }
 
-fn table2(scn: &Scenario, full: bool) {
-    banner("Table 2: polling-countermeasure overhead on SPEC2017-like suite (Comet Lake)");
+fn table2(scn: &Scenario, full: bool, json: bool) {
+    banner(
+        json,
+        "Table 2: polling-countermeasure overhead on SPEC2017-like suite (Comet Lake)",
+    );
     let cfg = OverheadConfig {
         work_divisor: if full { 1 } else { 20 },
         ..OverheadConfig::default()
     };
     let table = run_table2_with(&cfg, scn.telemetry()).expect("harness completes");
-    if emit_json("table2", &table) {
+    if emit_json(json, "table2", &table) {
         return;
     }
     let mut t = TextTable::new([
@@ -449,13 +487,16 @@ fn table2(scn: &Scenario, full: bool) {
     }
 }
 
-fn defense(scn: &Scenario) {
-    banner("Defense matrix (§4.3): every attack vs every deployment (Comet Lake)");
+fn defense(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Defense matrix (§4.3): every attack vs every deployment (Comet Lake)",
+    );
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let cells =
         experiments::defense_matrix(scn, model, &map, matrix_workers()).expect("matrix completes");
-    if emit_json("defense", &cells) {
+    if emit_json(json, "defense", &cells) {
         return;
     }
     let mut t = TextTable::new([
@@ -479,13 +520,16 @@ fn defense(scn: &Scenario) {
     print!("{}", t.render());
 }
 
-fn levels(scn: &Scenario) {
-    banner("Deployment levels (§5): turnaround / exposure under a -250 mV attack write");
+fn levels(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Deployment levels (§5): turnaround / exposure under a -250 mV attack write",
+    );
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::deployment_levels(scn, model, &map, matrix_workers())
         .expect("levels complete");
-    if emit_json("levels", &rows) {
+    if emit_json(json, "levels", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -508,12 +552,15 @@ fn levels(scn: &Scenario) {
     print!("{}", t.render());
 }
 
-fn stepping(scn: &Scenario) {
-    banner("Threat model (§4.1): stepping adversaries vs deflection vs polling");
+fn stepping(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Threat model (§4.1): stepping adversaries vs deflection vs polling",
+    );
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::stepping_experiment(scn, model, &map).expect("experiment completes");
-    if emit_json("stepping", &rows) {
+    if emit_json(json, "stepping", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -538,13 +585,16 @@ fn stepping(scn: &Scenario) {
     print!("{}", t.render());
 }
 
-fn interval(scn: &Scenario) {
-    banner("Ablation: polling period vs overhead vs turnaround (Comet Lake @ f_max)");
+fn interval(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Ablation: polling period vs overhead vs turnaround (Comet Lake @ f_max)",
+    );
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows =
         experiments::interval_sweep(scn, model, &map, matrix_workers()).expect("sweep completes");
-    if emit_json("interval", &rows) {
+    if emit_json(json, "interval", &rows) {
         return;
     }
     let mut t = TextTable::new(["period", "overhead %", "detect latency", "rail ever moved"]);
@@ -561,12 +611,15 @@ fn interval(scn: &Scenario) {
     println!(" neutralizes the write before the rail moves at all)");
 }
 
-fn planes(scn: &Scenario) {
-    banner("Ablation: voltage planes watched by the polling module (Comet Lake)");
+fn planes(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Ablation: voltage planes watched by the polling module (Comet Lake)",
+    );
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::plane_ablation(scn, model, &map).expect("ablation completes");
-    if emit_json("planes", &rows) {
+    if emit_json(json, "planes", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -602,12 +655,15 @@ fn planes(scn: &Scenario) {
     println!(" cost of two extra MSR accesses per plane per core per tick)");
 }
 
-fn energy(scn: &Scenario) {
-    banner("Energy: what denying benign undervolting costs (Comet Lake, RAPL)");
+fn energy(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Energy: what denying benign undervolting costs (Comet Lake, RAPL)",
+    );
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::energy_ablation(scn, model, &map).expect("ablation completes");
-    if emit_json("energy", &rows) {
+    if emit_json(json, "energy", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -632,11 +688,14 @@ fn energy(scn: &Scenario) {
     println!(" runs; Intel's access-control fix forfeits it)");
 }
 
-fn units(scn: &Scenario) {
-    banner("Die-to-die variation: per-unit vs per-generation safe bounds (Comet Lake)");
+fn units(scn: &Scenario, json: bool) {
+    banner(
+        json,
+        "Die-to-die variation: per-unit vs per-generation safe bounds (Comet Lake)",
+    );
     let study =
         experiments::unit_variation_study(scn, CpuModel::CometLake, 8).expect("study completes");
-    if emit_json("units", &study) {
+    if emit_json(json, "units", &study) {
         return;
     }
     let mut t = TextTable::new(["unit", "own maximal safe state (mV)", "onset @ f_max (mV)"]);
@@ -668,12 +727,12 @@ generation-wide bound (worst unit): {} mV",
     println!(" the kernel-module level can use each unit's own map)");
 }
 
-fn attest(scn: &Scenario) {
-    banner("Attestation policies (§4.1)");
+fn attest(scn: &Scenario, json: bool) {
+    banner(json, "Attestation policies (§4.1)");
     let model = CpuModel::CometLake;
     let map = quick_map(model);
     let rows = experiments::attestation_matrix(scn, model, &map).expect("matrix completes");
-    if emit_json("attest", &rows) {
+    if emit_json(json, "attest", &rows) {
         return;
     }
     let mut t = TextTable::new([
@@ -691,4 +750,101 @@ fn attest(scn: &Scenario) {
         ]);
     }
     print!("{}", t.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+    use std::collections::BTreeMap;
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| (*t).to_owned()).collect()
+    }
+
+    /// Every `repro` command line `scripts/golden.sh` runs, with its
+    /// `for <var> in …; do` loops expanded.
+    fn golden_invocations() -> Vec<Vec<String>> {
+        let script = include_str!("../../../../scripts/golden.sh");
+        let loops: BTreeMap<&str, Vec<&str>> = script
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("for "))
+            .filter_map(|l| l.strip_suffix("; do"))
+            .filter_map(|l| l.split_once(" in "))
+            .map(|(var, values)| (var.trim(), values.split_whitespace().collect()))
+            .collect();
+        let mut invocations = Vec::new();
+        for line in script
+            .lines()
+            .filter(|l| l.trim().starts_with("\"$REPRO\""))
+        {
+            let tokens: Vec<&str> = line
+                .split_whitespace()
+                .skip(1)
+                .take_while(|t| *t != ">")
+                .collect();
+            let var = tokens
+                .iter()
+                .find_map(|t| t.strip_prefix("\"$").and_then(|v| v.strip_suffix('"')));
+            let values = var.map_or(vec![""], |v| loops[v].clone());
+            for value in values {
+                invocations.push(
+                    tokens
+                        .iter()
+                        .map(|t| {
+                            if t.starts_with("\"$") {
+                                value.to_owned()
+                            } else {
+                                (*t).to_owned()
+                            }
+                        })
+                        .collect(),
+                );
+            }
+        }
+        invocations
+    }
+
+    #[test]
+    fn every_golden_invocation_is_accepted() {
+        let invocations = golden_invocations();
+        // table1, fig1, 3 × (fig, fig --json), table2, 8 named studies.
+        assert_eq!(invocations.len(), 17, "{invocations:?}");
+        for args in &invocations {
+            let parsed = parse_args(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(parsed.full, args.iter().any(|a| a == "--full"));
+            assert_eq!(parsed.json, args.iter().any(|a| a == "--json"));
+            assert_eq!(&parsed.cmd, args.last().expect("experiment"));
+        }
+    }
+
+    #[test]
+    fn flag_values_are_not_taken_for_the_experiment() {
+        let args = parse_args(&argv(&[
+            "--telemetry",
+            "levels",
+            "--stream",
+            "out.jsonl",
+            "fig2",
+        ]))
+        .expect("valid");
+        assert_eq!(args.telemetry_path.as_deref(), Some("levels"));
+        assert_eq!(args.stream_path.as_deref(), Some("out.jsonl"));
+        assert_eq!(args.cmd, "fig2");
+    }
+
+    #[test]
+    fn bad_tokens_are_named() {
+        for (tokens, expected) in [
+            (&["fig9"][..], "unknown experiment 'fig9'"),
+            (&["--full"], "missing experiment"),
+            (&["fig2", "--telemetry"], "--telemetry requires a file path"),
+            (
+                &["--stream", "--json", "fig2"],
+                "--stream requires a file path",
+            ),
+        ] {
+            let err = parse_args(&argv(tokens)).expect_err("rejected");
+            assert!(err.contains(expected), "{tokens:?}: {err}");
+        }
+    }
 }

@@ -3,25 +3,23 @@
 //! The workspace's Criterion dependency is a no-op shim (the build is
 //! hermetic), so perf claims need their own gate. This module times a
 //! fixed set of workloads — the full-grid characterization sweep, the
-//! Table 2 overhead suite, and event-queue microbenches — over *fixed,
-//! seeded* iteration counts, and serializes the result as a
+//! Table 2 overhead suite, and that suite with span tracing on — over
+//! *fixed, seeded* iteration counts, and serializes the result as a
 //! pinned-schema [`BenchReport`] (committed as `BENCH.json` at the
 //! repository root, one snapshot per PR).
 //!
 //! The workloads are deterministic: the same simulation work runs on
 //! every invocation, so the only run-to-run variance is host timing
 //! noise. Absolute nanoseconds are machine-dependent and only
-//! meaningful within one report; the `speedup` ratios (analytic path vs
-//! slack-table path over the *same* workload) are what CI compares
-//! across reports, because a ratio of two measurements from the same
-//! host/run largely cancels the machine out.
+//! meaningful within one report; the `speedup` ratios (before vs after
+//! arm over the *same* workload) are what CI compares across reports,
+//! because a ratio of two measurements from the same host/run largely
+//! cancels the machine out.
 
 use crate::scenario::Scenario;
 use plugvolt::characterize::{characterize, SweepConfig};
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_cpu::slack;
-use plugvolt_des::queue::EventQueue;
-use plugvolt_des::time::SimTime;
 use plugvolt_workloads::overhead::{run_table2, OverheadConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -31,28 +29,21 @@ use std::time::Instant;
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// Bench names every well-formed report must contain, in report order.
-pub const REQUIRED_BENCHES: [&str; 5] = [
-    "characterize-grid",
-    "run-table2",
-    "queue-schedule-pop",
-    "queue-cancel-heavy",
-    "span-overhead",
-];
+pub const REQUIRED_BENCHES: [&str; 3] = ["characterize-grid", "run-table2", "span-overhead"];
 
 /// One timed workload.
 ///
 /// Every required bench carries a before/after pair: the sweep benches
-/// toggle the slack-table/hot-telemetry optimizations, and the queue
-/// microbenches re-run the same workload on a reconstruction of the
-/// pre-optimization queue (fat boxed-callback heap nodes, linear-scan
-/// cancellation). `speedup` is the host-normalized ratio CI gates on.
+/// toggle the slack-table/hot-telemetry optimizations, and the span row
+/// toggles span tracing. `speedup` is the host-normalized ratio CI
+/// gates on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRow {
     /// Stable bench name (see [`REQUIRED_BENCHES`]).
     pub name: String,
-    /// Deterministic work units timed (grid points, suite benchmarks,
-    /// queue operations) — makes the row self-describing when the
-    /// workload size changes between smoke and full mode.
+    /// Deterministic work units timed (grid points, suite benchmarks) —
+    /// makes the row self-describing when the workload size changes
+    /// between smoke and full mode.
     pub work_units: u64,
     /// Wall-clock for the unoptimized path over the same workload
     /// (analytic slack recomputation), when the bench has one.
@@ -154,15 +145,13 @@ impl BenchReport {
 }
 
 /// Runs the whole harness. `smoke` shrinks every workload (coarse sweep
-/// grid, divided Table 2 suite, fewer queue ops) so CI can gate on it
+/// grid, divided Table 2 suite) so CI can gate on it
 /// in seconds; the full run is what gets committed as `BENCH.json`.
 #[must_use]
 pub fn run(smoke: bool) -> BenchReport {
     let benches = vec![
         bench_characterize(smoke),
         bench_table2(smoke),
-        bench_queue_schedule_pop(smoke),
-        bench_queue_cancel_heavy(smoke),
         bench_span_overhead(smoke),
     ];
     BenchReport {
@@ -303,195 +292,6 @@ fn bench_span_overhead(smoke: bool) -> BenchRow {
     }
 }
 
-/// Deterministic pseudo-times for the queue microbenches (an xorshift
-/// walk; no host randomness, so every run schedules the same events).
-fn pseudo_times(n: u64) -> impl Iterator<Item = SimTime> {
-    let mut x = 0x0DAC_2024_u64;
-    (0..n).map(move |_| {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        SimTime::from_picos(x % 1_000_000_000)
-    })
-}
-
-/// A reconstruction of the pre-optimization event queue, kept as the
-/// "before" arm of the queue microbenches: one `BinaryHeap` node per
-/// event carrying a *boxed* callback allocated at schedule time (the
-/// fat-node layout the slab redesign removed), and cancellation that
-/// validates the id with a linear `heap.iter().any` scan (the shape
-/// that made cancel-heavy workloads quadratic).
-mod refqueue {
-    use plugvolt_des::time::SimTime;
-    use std::cmp::Reverse;
-    use std::collections::{BTreeSet, BinaryHeap};
-
-    type Callback = Box<dyn FnOnce(&mut u64)>;
-
-    struct Node {
-        at: SimTime,
-        seq: u64,
-        f: Callback,
-    }
-
-    impl PartialEq for Node {
-        fn eq(&self, other: &Self) -> bool {
-            (self.at, self.seq) == (other.at, other.seq)
-        }
-    }
-    impl Eq for Node {}
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.at, self.seq).cmp(&(other.at, other.seq))
-        }
-    }
-
-    pub struct RefQueue {
-        heap: BinaryHeap<Reverse<Node>>,
-        next_seq: u64,
-        cancelled: BTreeSet<u64>,
-    }
-
-    impl RefQueue {
-        pub fn new() -> Self {
-            RefQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                cancelled: BTreeSet::new(),
-            }
-        }
-
-        pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut u64) + 'static) -> u64 {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Reverse(Node {
-                at,
-                seq,
-                f: Box::new(f),
-            }));
-            seq
-        }
-
-        pub fn cancel(&mut self, id: u64) -> bool {
-            // The historical O(pending) membership probe.
-            if self.heap.iter().any(|Reverse(n)| n.seq == id) && !self.cancelled.contains(&id) {
-                self.cancelled.insert(id);
-                true
-            } else {
-                false
-            }
-        }
-
-        pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, Callback)> {
-            while let Some(Reverse(node)) = self.heap.pop() {
-                if self.cancelled.remove(&node.seq) {
-                    continue;
-                }
-                if node.at > limit {
-                    self.heap.push(Reverse(node));
-                    return None;
-                }
-                return Some((node.at, node.f));
-            }
-            None
-        }
-    }
-}
-
-/// Schedule `n` events at scattered times, then pop them all in order.
-/// Baseline arm: the fat-node boxed-callback heap.
-fn bench_queue_schedule_pop(smoke: bool) -> BenchRow {
-    let n: u64 = if smoke { 100_000 } else { 1_000_000 };
-    let (baseline_ns, ref_popped) = time(|| {
-        let mut q = refqueue::RefQueue::new();
-        for at in pseudo_times(n) {
-            q.schedule_at(at, |w| *w += 1);
-        }
-        let mut world = 0u64;
-        while let Some((_, f)) = q.pop_due(SimTime::MAX) {
-            f(&mut world);
-        }
-        world
-    });
-    let (measured_ns, popped) = time(|| {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for at in pseudo_times(n) {
-            q.schedule_at(at, |w, _| *w += 1);
-        }
-        let mut world = 0u64;
-        while let Some((_, f)) = q.pop_due(SimTime::MAX) {
-            f(&mut world, &mut q);
-        }
-        world
-    });
-    assert_eq!(popped, n);
-    assert_eq!(ref_popped, popped, "reference queue disagrees on results");
-    BenchRow {
-        name: "queue-schedule-pop".to_owned(),
-        work_units: 2 * n,
-        baseline_ns: Some(baseline_ns),
-        measured_ns,
-        speedup: Some(baseline_ns as f64 / measured_ns as f64),
-    }
-}
-
-/// Schedule `n` events, cancel every other one, pop the survivors — the
-/// workload the old `heap.iter().any` cancel scan made quadratic.
-///
-/// Sized so the O(n)-cancel reference arm finishes in under a second:
-/// its cost grows as n²/4 id comparisons, so n stays far below the
-/// schedule-pop workload. Unlike the other benches, the workload does
-/// NOT shrink in smoke mode — the reference arm is quadratic, so its
-/// speedup ratio only compares across reports when the size is
-/// identical, and the decay gate diffs smoke runs against the committed
-/// full report.
-fn bench_queue_cancel_heavy(smoke: bool) -> BenchRow {
-    let _ = smoke;
-    let n: u64 = 60_000;
-    let (baseline_ns, ref_popped) = time(|| {
-        let mut q = refqueue::RefQueue::new();
-        let ids: Vec<_> = pseudo_times(n)
-            .map(|at| q.schedule_at(at, |w| *w += 1))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            assert!(q.cancel(*id), "pending event cancels");
-        }
-        let mut world = 0u64;
-        while let Some((_, f)) = q.pop_due(SimTime::MAX) {
-            f(&mut world);
-        }
-        world
-    });
-    let (measured_ns, popped) = time(|| {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let ids: Vec<_> = pseudo_times(n)
-            .map(|at| q.schedule_at(at, |w, _| *w += 1))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            assert!(q.cancel(*id), "pending event cancels");
-        }
-        let mut world = 0u64;
-        while let Some((_, f)) = q.pop_due(SimTime::MAX) {
-            f(&mut world, &mut q);
-        }
-        world
-    });
-    assert_eq!(popped, n - n.div_ceil(2));
-    assert_eq!(ref_popped, popped, "reference queue disagrees on results");
-    BenchRow {
-        name: "queue-cancel-heavy".to_owned(),
-        work_units: 2 * n + n / 2,
-        baseline_ns: Some(baseline_ns),
-        measured_ns,
-        speedup: Some(baseline_ns as f64 / measured_ns as f64),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,37 +349,6 @@ mod tests {
         let regressed = current.regressions_against(&baseline);
         assert_eq!(regressed.len(), 1);
         assert!(regressed[0].starts_with("characterize-grid"));
-    }
-
-    #[test]
-    fn smoke_queue_benches_run_and_self_check() {
-        // cancel-heavy is not exercised here: its reference arm is
-        // deliberately quadratic and debug-build slow; the release-mode
-        // smoke gate in ci.sh covers it.
-        let row = bench_queue_schedule_pop(true);
-        assert_eq!(row.work_units, 200_000);
-        assert!(row.measured_ns > 0);
-        assert!(row.baseline_ns.is_some() && row.speedup.is_some());
-    }
-
-    #[test]
-    fn reference_queue_matches_optimized_semantics() {
-        use plugvolt_des::time::SimTime;
-        let mut q = refqueue::RefQueue::new();
-        let ids: Vec<_> = pseudo_times(100)
-            .map(|at| q.schedule_at(at, |w| *w += 1))
-            .collect();
-        assert!(q.cancel(ids[0]), "pending event cancels");
-        assert!(!q.cancel(ids[0]), "double-cancel is rejected");
-        assert!(!q.cancel(9999), "unknown id is rejected");
-        let mut world = 0u64;
-        let mut last = SimTime::from_picos(0);
-        while let Some((at, f)) = q.pop_due(SimTime::MAX) {
-            assert!(at >= last, "pops are time-ordered");
-            last = at;
-            f(&mut world);
-        }
-        assert_eq!(world, 99);
     }
 
     #[test]

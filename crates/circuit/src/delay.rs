@@ -22,51 +22,12 @@ pub type Millivolts = f64;
 /// Picoseconds, the unit of every delay in this crate.
 pub type Picoseconds = f64;
 
-/// A voltage-to-delay model for one logic stage.
-pub trait DelayModel {
-    /// Propagation delay of the stage at supply voltage `v_mv`.
-    ///
-    /// Returns [`f64::INFINITY`] when the stage cannot switch at all
-    /// (supply at or below threshold).
-    fn delay_ps(&self, v_mv: Millivolts) -> Picoseconds;
-
-    /// The supply voltage at which the stage reaches exactly `target_ps`,
-    /// found by bisection. Returns `None` if the stage is faster than
-    /// `target_ps` even at `lo_mv`, or slower even at `hi_mv`.
-    fn voltage_for_delay(
-        &self,
-        target_ps: Picoseconds,
-        lo_mv: Millivolts,
-        hi_mv: Millivolts,
-    ) -> Option<Millivolts> {
-        if lo_mv >= hi_mv || target_ps <= 0.0 {
-            return None;
-        }
-        // Delay decreases monotonically with voltage.
-        let d_lo = self.delay_ps(lo_mv);
-        let d_hi = self.delay_ps(hi_mv);
-        if d_hi > target_ps || d_lo < target_ps {
-            return None;
-        }
-        let (mut lo, mut hi) = (lo_mv, hi_mv);
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if self.delay_ps(mid) > target_ps {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(0.5 * (lo + hi))
-    }
-}
-
 /// Sakurai–Newton alpha-power-law delay model.
 ///
 /// # Examples
 ///
 /// ```
-/// use plugvolt_circuit::delay::{AlphaPowerModel, DelayModel};
+/// use plugvolt_circuit::delay::AlphaPowerModel;
 ///
 /// let m = AlphaPowerModel::new(60.0, 320.0, 1.4);
 /// // Undervolting slows the gate down:
@@ -134,26 +95,19 @@ impl AlphaPowerModel {
     pub fn k_ps(&self) -> f64 {
         self.k_ps
     }
-}
 
-impl DelayModel for AlphaPowerModel {
-    fn delay_ps(&self, v_mv: Millivolts) -> Picoseconds {
+    /// Propagation delay of the stage at supply voltage `v_mv`.
+    ///
+    /// Returns [`f64::INFINITY`] when the stage cannot switch at all
+    /// (supply at or below threshold).
+    #[must_use]
+    pub fn delay_ps(&self, v_mv: Millivolts) -> Picoseconds {
         if v_mv <= self.vth_mv {
             return f64::INFINITY;
         }
         let v = v_mv / 1000.0;
         let overdrive = (v_mv - self.vth_mv) / 1000.0;
         self.k_ps * v / overdrive.powf(self.alpha)
-    }
-}
-
-/// A fixed, voltage-independent delay (wire delay, clock-tree insertion…).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantDelay(pub Picoseconds);
-
-impl DelayModel for ConstantDelay {
-    fn delay_ps(&self, _v_mv: Millivolts) -> Picoseconds {
-        self.0
     }
 }
 
@@ -188,35 +142,6 @@ mod tests {
     fn calibration_reproduces_anchor_point() {
         let m = AlphaPowerModel::calibrated(250.0, 1_000.0, 320.0, 1.4);
         assert!((m.delay_ps(1_000.0) - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn voltage_for_delay_inverts_delay() {
-        let m = model();
-        let target = m.delay_ps(850.0);
-        let v = m
-            .voltage_for_delay(target, 400.0, 1_300.0)
-            .expect("in range");
-        assert!((v - 850.0).abs() < 0.01, "v={v}");
-    }
-
-    #[test]
-    fn voltage_for_delay_out_of_range() {
-        let m = model();
-        // Target faster than the gate can ever be in range.
-        assert!(m.voltage_for_delay(1.0, 400.0, 1_300.0).is_none());
-        // Target slower than the gate at the low end.
-        let huge = m.delay_ps(401.0) * 10.0;
-        assert!(m.voltage_for_delay(huge, 400.0, 1_300.0).is_none());
-        // Degenerate interval.
-        assert!(m.voltage_for_delay(100.0, 900.0, 900.0).is_none());
-    }
-
-    #[test]
-    fn constant_delay_ignores_voltage() {
-        let c = ConstantDelay(12.5);
-        assert_eq!(c.delay_ps(500.0), 12.5);
-        assert_eq!(c.delay_ps(1_200.0), 12.5);
     }
 
     #[test]

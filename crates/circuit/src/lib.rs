@@ -14,14 +14,10 @@
 //!   (alpha-power-law gate delays);
 //! - [`timing`] — the budget side (`T_clk`, `T_setup`, `T_ε`), slack and
 //!   the safe/unsafe/crash classification;
-//! - [`path`] — structural critical paths (launch FF + logic stages);
-//! - [`flipflop`] — observation O1/O2 launch–capture checks;
 //! - [`multiplier`] — the `imul` datapath model used by the paper's
 //!   EXECUTE thread, with operand-dependent depth;
 //! - [`fault`] — the stochastic fault band and Plundervolt-style bit-flip
-//!   sampling;
-//! - [`netlist`] — exact gate-level ground truth (generated adders and
-//!   multipliers) validating the analytic models.
+//!   sampling.
 //!
 //! # Examples
 //!
@@ -50,18 +46,13 @@
 
 pub mod delay;
 pub mod fault;
-pub mod flipflop;
 pub mod multiplier;
-pub mod netlist;
-pub mod path;
 pub mod timing;
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
-    pub use crate::delay::{AlphaPowerModel, ConstantDelay, DelayModel};
+    pub use crate::delay::AlphaPowerModel;
     pub use crate::fault::{FaultModel, FaultOutcome};
-    pub use crate::flipflop::{launch_capture_check, FlipFlop, LaunchCaptureReport};
     pub use crate::multiplier::{LoopOutcome, MulExecution, MultiplierUnit};
-    pub use crate::path::{CriticalPath, Stage};
     pub use crate::timing::{TimingBudget, TimingState};
 }

@@ -15,7 +15,7 @@
 //! The model is analytic (no per-gate simulation) so characterization
 //! sweeps over millions of iterations stay fast.
 
-use crate::delay::{AlphaPowerModel, DelayModel, Millivolts, Picoseconds};
+use crate::delay::{AlphaPowerModel, Millivolts, Picoseconds};
 use crate::fault::{draw_outcome, FaultModel, FaultOutcome};
 use crate::timing::{TimingBudget, TimingState};
 use plugvolt_des::rng::SimRng;

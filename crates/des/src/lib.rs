@@ -9,7 +9,6 @@
 //! the primitives defined here:
 //!
 //! - [`time`] — picosecond-resolution [`time::SimTime`] / [`time::SimDuration`];
-//! - [`queue`] + [`sim`] — the event calendar and executive;
 //! - [`rng`] — labelled deterministic random streams;
 //! - [`stats`] — online summaries and histograms for reports;
 //! - [`trace`] — bounded trace ring used to assert on behaviour sequences;
@@ -17,33 +16,35 @@
 //!
 //! # Examples
 //!
-//! A tiny two-event simulation:
+//! A jittered polling schedule: seeded streams make every replay of a
+//! labelled run land on the same picosecond.
 //!
 //! ```
 //! use plugvolt_des::prelude::*;
 //!
-//! #[derive(Debug, Default)]
-//! struct World {
-//!     voltage_mv: i32,
+//! fn poll_instants(seed: u64) -> Vec<SimTime> {
+//!     let period = SimDuration::from_micros(100);
+//!     let mut rng = SimRng::from_seed_label(seed, "poll-jitter");
+//!     let mut now = SimTime::ZERO;
+//!     (0..10)
+//!         .map(|_| {
+//!             now += period + SimDuration::from_nanos(rng.below(1_000));
+//!             now
+//!         })
+//!         .collect()
 //! }
 //!
-//! let mut sim = Simulator::new(World::default());
-//! sim.schedule_in(SimDuration::from_micros(5), |w: &mut World, _| {
-//!     w.voltage_mv = -150; // undervolt lands
-//! });
-//! sim.schedule_in(SimDuration::from_micros(9), |w: &mut World, _| {
-//!     w.voltage_mv = 0; // countermeasure restores
-//! });
-//! sim.run_for(SimDuration::from_micros(10));
-//! assert_eq!(sim.world().voltage_mv, 0);
+//! let ticks = poll_instants(7);
+//! assert_eq!(ticks, poll_instants(7));
+//! let last = ticks[9] - SimTime::ZERO;
+//! assert!(last >= SimDuration::from_micros(1_000));
+//! assert!(last < SimDuration::from_micros(1_010));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod queue;
 pub mod rng;
-pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -51,9 +52,7 @@ pub mod vcd;
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
-    pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::SimRng;
-    pub use crate::sim::{PeriodicHandle, Simulator};
     pub use crate::stats::{Histogram, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{TraceBuffer, TraceLevel, TraceRecord};

@@ -3,8 +3,9 @@
 //! A vendor-provisioned register clamping what MSR 0x150 may request:
 //! writes asking for an undervolt deeper than the **maximal safe state**
 //! characterized for the CPU generation are clamped to that bound —
-//! exactly the `DRAM_MIN_PWR` semantics of
-//! [`crate::power_limit::DramPowerInfo::clamp`], transplanted to voltage.
+//! exactly the semantics of the `MSR_DRAM_POWER_LIMIT` /
+//! `MSR_DRAM_POWER_INFO` pair, where a requested limit below the
+//! `DRAM_MIN_PWR` floor is silently raised to it, transplanted to voltage.
 //!
 //! Layout (our design, no real part implements this):
 //!
