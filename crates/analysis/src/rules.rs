@@ -559,8 +559,9 @@ impl Rule for HotPathTranscendentals {
             id: "hot-path-transcendentals",
             severity: Severity::Error,
             summary: "powf/exp/ln calls banned in code reachable from the \
-                      characterize*/run_cells/run_batch*/run_imul*/execute_imul/poll* entry \
-                      points (call-graph reachability); precompute via the slack table",
+                      characterize*/run_cells/run_batch*/run_imul*/execute_imul/poll*/\
+                      run_workload*/advance* entry points (call-graph reachability); \
+                      precompute via the slack table",
         }
     }
 

@@ -777,19 +777,23 @@ impl WorkspaceRule for MsrDirectAccess {
 /// (`.powf`/`.exp`/`.ln`) in sim-crate code *reachable* from the
 /// characterization entry points (`characterize*`, `run_cells*`,
 /// `run_batch*`, `run_imul*`, the victim's `execute_imul*` and `poll*`)
-/// is a hot-path cost, even when it hides two calls down. Traversal stops at
+/// or from the kernel's timer loop (`run_workload*`, `advance*`, which
+/// replay quiet poll ticks once per tick) is a hot-path cost, even when
+/// it hides two calls down. Traversal stops at
 /// `crates/cpu/src/slack.rs` — the sanctioned table module pays the
 /// analytic cost once per grid point per process.
 pub struct HotPathReachability;
 
 /// Name prefixes that seed the hot-entry set.
-const ENTRY_PREFIXES: [&str; 6] = [
+const ENTRY_PREFIXES: [&str; 8] = [
     "characterize",
     "run_cells",
     "run_batch",
     "run_imul",
     "execute_imul",
     "poll",
+    "run_workload",
+    "advance",
 ];
 
 /// The sanctioned analytic site; reachable, but not expanded through.

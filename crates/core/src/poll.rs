@@ -160,6 +160,10 @@ pub struct PollingModule {
     /// The current core's per-plane observations, refilled by
     /// `poll_core` and kept between ticks so a tick allocates nothing.
     observed: Vec<(Plane, SystemState)>,
+    /// Observations the last tick made, if that tick was quiet: the
+    /// single-read Algorithm 3 mode (no mailbox read commands) and no
+    /// detection. See [`KernelModule::replay_quiet_ticks`].
+    quiet_observations: Option<u64>,
 }
 
 impl PollingModule {
@@ -174,6 +178,7 @@ impl PollingModule {
                 cfg,
                 stats: Rc::clone(&stats),
                 observed: Vec::new(),
+                quiet_observations: None,
             },
             stats,
         )
@@ -294,7 +299,11 @@ impl KernelModule for PollingModule {
         // The guard owns a tracer clone, so it outlives this borrow of
         // `ctx` and closes when the whole iteration is done.
         let _iteration = ctx.tracer().span("poll/iteration");
-        self.stats.borrow_mut().ticks += 1;
+        let (observations_before, detections_before) = {
+            let mut s = self.stats.borrow_mut();
+            s.ticks += 1;
+            (s.observations, s.detections)
+        };
         let cores = ctx.cpu().core_count();
         let restore_mv = self.restore_offset_mv();
         let mut observed = std::mem::take(&mut self.observed);
@@ -410,7 +419,23 @@ impl KernelModule for PollingModule {
             }
         }
         self.observed = observed;
+        let s = self.stats.borrow();
+        self.quiet_observations = (s.detections == detections_before
+            && self.cfg.planes == [Plane::Core])
+        .then_some(s.observations - observations_before);
         Some(self.cfg.period)
+    }
+
+    fn replay_quiet_ticks(&mut self, replayed: u64) -> bool {
+        let Some(per_tick) = self.quiet_observations else {
+            return false;
+        };
+        if replayed > 0 {
+            let mut s = self.stats.borrow_mut();
+            s.ticks += replayed;
+            s.observations += per_tick * replayed;
+        }
+        true
     }
 
     fn exit(&mut self, ctx: &mut ModuleCtx<'_>) {

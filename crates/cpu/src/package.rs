@@ -126,6 +126,9 @@ pub struct CpuPackage {
     /// Per-core hot-path counters, batched in `Cell`s and flushed to
     /// the sink only at publish time (see [`CoreHotCounters`]).
     hot: Vec<CoreHotCounters>,
+    /// State epoch: bumped by every mutation a register read could
+    /// observe (see [`Self::state_epoch`]).
+    epoch: u64,
 }
 
 /// The per-core counters bumped on the simulator's hottest paths
@@ -225,6 +228,7 @@ impl CpuPackage {
             hot: (0..spec.cores)
                 .map(|_| CoreHotCounters::default())
                 .collect(),
+            epoch: 0,
             spec,
         };
         pkg.implement_msrs();
@@ -270,6 +274,23 @@ impl CpuPackage {
         self.crashed
     }
 
+    /// The package's state epoch. It moves on every `wrmsr` (accepted,
+    /// ignored or faulting), P-state change, idle enter/wake, microcode
+    /// load, clamp provisioning, OCM toggle, reset, crash latch and sink
+    /// swap — whichever path makes the change, `Machine::cpu_mut()`
+    /// included. While it stands still and the rails have settled,
+    /// every `rdmsr` the kernel's poll path issues returns the same
+    /// value, which is what lets the kernel replay a quiet timer tick
+    /// instead of re-running it.
+    #[must_use]
+    pub fn state_epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn bump_epoch(&mut self) {
+        self.epoch += 1;
+    }
+
     /// Whether the overclocking mailbox accepts writes.
     #[must_use]
     pub fn ocm_enabled(&self) -> bool {
@@ -279,6 +300,7 @@ impl CpuPackage {
     /// Enables/disables the overclocking mailbox (Intel's access-control
     /// countermeasure). The state is attestation-visible.
     pub fn set_ocm_enabled(&mut self, enabled: bool) {
+        self.bump_epoch();
         self.ocm_enabled = enabled;
     }
 
@@ -286,6 +308,14 @@ impl CpuPackage {
     #[must_use]
     pub fn microcode_revision(&self) -> u32 {
         self.microcode_rev
+    }
+
+    /// The value the package's fault RNG will draw next, without
+    /// drawing it — lets tests check that two runs left the fault
+    /// stream at the same position.
+    #[must_use]
+    pub fn peek_rng(&self) -> u64 {
+        self.rng.clone().next_u64()
     }
 
     /// Mailbox writes dropped by microcode/OCM-disable/clamp so far.
@@ -305,6 +335,7 @@ impl CpuPackage {
     /// Installs a shared telemetry sink; the kernel does this so the
     /// package, the machine, and every module record into one registry.
     pub fn set_telemetry(&mut self, sink: Sink) {
+        self.bump_epoch();
         self.telemetry = sink;
         if let Some(table) = self.engine.slack_table() {
             // The table predates the sink (built at boot), so the event
@@ -415,6 +446,32 @@ impl CpuPackage {
         }
     }
 
+    /// Copies the batched per-core hot counters into `out`, one
+    /// `[rdmsr, wrmsr, access_cost_ps, stolen_ps]` row per core.
+    pub fn hot_counters_into(&self, out: &mut Vec<[u64; 4]>) {
+        out.clear();
+        out.extend(self.hot.iter().map(|c| {
+            [
+                c.rdmsr.get(),
+                c.wrmsr.get(),
+                c.access_cost_ps.get(),
+                c.stolen_ps.get(),
+            ]
+        }));
+    }
+
+    /// Adds `n` times `per_core` (rows as in
+    /// [`hot_counters_into`](Self::hot_counters_into)) to the batched
+    /// hot counters: the kernel's bulk flush of replayed quiet ticks.
+    pub fn add_hot_counters(&self, per_core: &[[u64; 4]], n: u64) {
+        for (c, d) in self.hot.iter().zip(per_core) {
+            c.rdmsr.set(c.rdmsr.get() + d[0] * n);
+            c.wrmsr.set(c.wrmsr.get() + d[1] * n);
+            c.access_cost_ps.set(c.access_cost_ps.get() + d[2] * n);
+            c.stolen_ps.set(c.stolen_ps.get() + d[3] * n);
+        }
+    }
+
     /// When `plane`'s offset last changed through an accepted mailbox
     /// write — the instant an attacker-chosen offset took effect, which
     /// the polling module's detection-latency metric measures from.
@@ -451,6 +508,7 @@ impl CpuPackage {
     /// Loads a microcode update (BIOS/UEFI path). Persists across
     /// [`reset`](Self::reset), like a BIOS-embedded update.
     pub fn load_microcode(&mut self, update: MicrocodeUpdate) {
+        self.bump_epoch();
         self.msrs.remove_interceptor(update.interceptor_name());
         self.msrs
             .add_interceptor(Box::new(SequencerHook::new(update)));
@@ -465,6 +523,7 @@ impl CpuPackage {
     /// Provisions the hardware voltage-offset clamp
     /// (`MSR_VOLTAGE_OFFSET_LIMIT`, Sec. 5.2). Vendor-only operation.
     pub fn provision_offset_limit(&mut self, limit: VoltageOffsetLimit) {
+        self.bump_epoch();
         self.offset_limit = limit;
         self.msrs
             .store_internal(Msr::VOLTAGE_OFFSET_LIMIT, limit.encode());
@@ -474,6 +533,7 @@ impl CpuPackage {
     /// values, rail to nominal, cores to base frequency. Microcode
     /// updates and the hardware clamp persist (they live in BIOS/fuses).
     pub fn reset(&mut self, now: SimTime) {
+        self.bump_epoch();
         self.crashed = false;
         self.plane_offset_units = [0; 5];
         self.plane_offset_written_at = [None; 5];
@@ -561,6 +621,7 @@ impl CpuPackage {
         freq: FreqMhz,
     ) -> Result<FreqMhz, PackageError> {
         self.ensure_alive()?;
+        self.bump_epoch();
         let quantized = self.spec.freq_table.quantize(freq);
         let c = self
             .cores
@@ -629,6 +690,7 @@ impl CpuPackage {
         level: u8,
     ) -> Result<(), PackageError> {
         self.ensure_alive()?;
+        self.bump_epoch();
         self.cores
             .get_mut(core.0)
             .ok_or(PackageError::NoSuchCore(core))?
@@ -645,6 +707,7 @@ impl CpuPackage {
     /// [`PackageError::Crashed`] / [`PackageError::NoSuchCore`].
     pub fn wake_core(&mut self, now: SimTime, core: CoreId) -> Result<(), PackageError> {
         self.ensure_alive()?;
+        self.bump_epoch();
         self.cores
             .get_mut(core.0)
             .ok_or(PackageError::NoSuchCore(core))?
@@ -800,6 +863,7 @@ impl CpuPackage {
         msr: Msr,
         value: u64,
     ) -> Result<WriteOutcome, PackageError> {
+        self.bump_epoch();
         self.ensure_alive()?;
         if core.0 >= self.cores.len() {
             return Err(PackageError::NoSuchCore(core));
@@ -901,6 +965,7 @@ impl CpuPackage {
 
     /// Latches the crashed state, emitting the telemetry event once.
     fn latch_crash(&mut self, now: SimTime, core: CoreId) {
+        self.bump_epoch();
         if !self.crashed {
             self.telemetry.incr(MetricKey::global("cpu", "crashes"));
             self.telemetry.emit(
@@ -1422,6 +1487,82 @@ mod tests {
             Err(PackageError::Crashed) => {} // even deeper: also a violation
             Err(e) => panic!("{e}"),
         }
+    }
+
+    #[test]
+    fn state_epoch_moves_on_every_mutation_and_not_on_reads() {
+        let mut p = pkg();
+        let mut last = p.state_epoch();
+        let mut moved = |p: &CpuPackage, what: &str| {
+            assert!(p.state_epoch() > last, "{what} left the epoch at {last}");
+            last = p.state_epoch();
+        };
+        let t = now();
+        p.rdmsr(t, CoreId(0), Msr::IA32_PERF_STATUS).unwrap();
+        p.run_batch(t, CoreId(0), InstrClass::AluAdd, 1_000)
+            .unwrap();
+        assert_eq!(
+            p.state_epoch(),
+            0,
+            "reads and retired batches are not mutations"
+        );
+        let rd = OcRequest::read(Plane::Core).encode();
+        p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, rd).unwrap();
+        moved(&p, "a mailbox read command");
+        p.set_core_freq(t, CoreId(1), FreqMhz(2_600)).unwrap();
+        moved(&p, "a P-state change");
+        p.enter_idle(t, CoreId(2), 6).unwrap();
+        moved(&p, "idle entry");
+        p.wake_core(t, CoreId(2)).unwrap();
+        moved(&p, "a wake");
+        p.load_microcode(MicrocodeUpdate::maximal_safe_state(0xf5, -125));
+        moved(&p, "a microcode load");
+        p.provision_offset_limit(VoltageOffsetLimit::new(-125));
+        moved(&p, "clamp provisioning");
+        p.set_ocm_enabled(false);
+        moved(&p, "an OCM toggle");
+        let ignored = OcRequest::write_offset(-50, Plane::Core).encode();
+        assert_eq!(
+            p.wrmsr(t, CoreId(0), Msr::OC_MAILBOX, ignored).unwrap(),
+            WriteOutcome::Ignored
+        );
+        moved(&p, "an ignored mailbox write");
+        p.set_telemetry(Sink::new());
+        moved(&p, "a sink swap");
+        p.latch_crash(t, CoreId(0));
+        moved(&p, "a crash latch");
+        p.reset(t);
+        moved(&p, "a reset");
+    }
+
+    #[test]
+    fn hot_counter_bulk_add_matches_repeated_accesses() {
+        let looped = pkg();
+        let bulk = pkg();
+        let t = now();
+        let mut before = Vec::new();
+        bulk.hot_counters_into(&mut before);
+        bulk.rdmsr(t, CoreId(1), Msr::OC_MAILBOX).unwrap();
+        bulk.note_kernel_msr_cost(CoreId(1), 40);
+        bulk.note_stolen(CoreId(3), 9);
+        let mut after = Vec::new();
+        bulk.hot_counters_into(&mut after);
+        let delta: Vec<[u64; 4]> = after
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| std::array::from_fn(|k| a[k] - b[k]))
+            .collect();
+        bulk.add_hot_counters(&delta, 4);
+        for _ in 0..5 {
+            looped.rdmsr(t, CoreId(1), Msr::OC_MAILBOX).unwrap();
+            looped.note_kernel_msr_cost(CoreId(1), 40);
+            looped.note_stolen(CoreId(3), 9);
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        bulk.hot_counters_into(&mut a);
+        looped.hot_counters_into(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(a[1], [5, 0, 200, 0]);
     }
 
     #[test]

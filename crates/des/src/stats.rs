@@ -178,10 +178,17 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `count` observations of the same `value` — exactly what
+    /// `count` calls of [`record`](Self::record) would do, since the
+    /// bins are integer counters.
+    pub fn record_n(&mut self, value: f64, count: u64) {
         let n = self.bins.len();
         let frac = (value - self.lo) / (self.hi - self.lo);
         let idx = ((frac * n as f64).floor() as i64).clamp(0, n as i64 - 1) as usize;
-        self.bins[idx] += 1;
+        self.bins[idx] += count;
     }
 
     /// Bin counts.
@@ -271,6 +278,21 @@ mod tests {
         assert_eq!(h.total(), 4);
         let (lo, hi) = h.bin_range(1);
         assert!((lo - 2.0).abs() < 1e-12 && (hi - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn histogram_record_n_equals_repeated_record() {
+        let mut one_by_one = Histogram::new(0.0, 20.0, 20);
+        let mut bulk = Histogram::new(0.0, 20.0, 20);
+        for v in [0.7, 19.9, 35.0] {
+            for _ in 0..1_000 {
+                one_by_one.record(v);
+            }
+            bulk.record_n(v, 1_000);
+        }
+        bulk.record_n(3.0, 0);
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.total(), 3_000);
     }
 
     #[test]

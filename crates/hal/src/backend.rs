@@ -20,6 +20,17 @@ pub trait MsrBackend {
     /// `"host-ro"`); appears in traces, errors and reports.
     fn name(&self) -> &'static str;
 
+    /// Whether a read only observes state: two `rdmsr`s of the same
+    /// register with no state change in between return the same value
+    /// and leave no trace, so skipping one is unobservable. Only the
+    /// sim backend says yes. The recording backend must log every
+    /// access, the replay backend must check every access against its
+    /// tape, and host registers move on their own — so a `Machine` on
+    /// those backends runs every timer tick in full.
+    fn reads_are_pure(&self) -> bool {
+        false
+    }
+
     /// Reads `msr` on `core`.
     ///
     /// # Errors

@@ -56,6 +56,10 @@ impl MsrBackend for SimBackend {
         "sim"
     }
 
+    fn reads_are_pure(&self) -> bool {
+        true
+    }
+
     fn rdmsr(&mut self, now: SimTime, core: CoreId, msr: Msr) -> Result<u64, HalError> {
         self.cpu.rdmsr(now, core, msr).map_err(HalError::Package)
     }

@@ -16,6 +16,17 @@
 //! software stack makes. Direct `cpu_mut()` access remains the
 //! "privileged attacker / physical package" escape hatch and is not
 //! part of the recorded surface.
+//!
+//! **Quiet-tick replay.** A module that opts in
+//! ([`KernelModule::replay_quiet_ticks`]) and whose last full tick only
+//! read state and found nothing is not re-run while the package's state
+//! epoch stands still: the machine replays the measured tick, moving
+//! per tick only the stolen time and the re-armed timer, and flushes
+//! the rest (hot counters, the `kernel/timer_iteration_us` histogram,
+//! span aggregates, the module's counters) once when the stretch ends.
+//! A stretch never outlives the public call that opened it. Every
+//! observable total is identical to running each tick; `DESIGN.md`
+//! lists the preconditions.
 
 use plugvolt_cpu::core::CoreId;
 use plugvolt_cpu::exec::InstrClass;
@@ -29,7 +40,7 @@ use plugvolt_hal::backend::{MachineBackend, MsrBackend};
 use plugvolt_hal::sim::SimBackend;
 use plugvolt_msr::addr::Msr;
 use plugvolt_msr::file::WriteOutcome;
-use plugvolt_telemetry::{HistogramSpec, MetricKey, Sink, Tracer};
+use plugvolt_telemetry::{HistogramSpec, MetricKey, Sink, SpanDelta, Tracer};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -240,6 +251,23 @@ pub trait KernelModule {
     fn exit(&mut self, ctx: &mut ModuleCtx<'_>) {
         let _ = ctx;
     }
+
+    /// Quiet-tick replay, opt-in. The default (`false`) keeps every
+    /// tick of the module on the full [`on_timer`](Self::on_timer) path.
+    ///
+    /// A module that opts in returns `true` only while its last full
+    /// tick was *quiet*: it only read state (no `wrmsr`, no trace
+    /// record, no telemetry event) and found nothing to act on, so a
+    /// later tick over unchanged package state would do exactly the
+    /// same. The machine may then replay that tick instead of running
+    /// it (see `DESIGN.md`, "Quiet-tick replay"), and reports the
+    /// replays here as `replayed` when the stretch ends; the module
+    /// folds them into its own counters as if each had run. The machine
+    /// passes `replayed == 0` when it only asks.
+    fn replay_quiet_ticks(&mut self, replayed: u64) -> bool {
+        let _ = replayed;
+        false
+    }
 }
 
 struct PendingTimer {
@@ -263,6 +291,40 @@ impl Ord for PendingTimer {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
     }
+}
+
+/// The measured effect of one quiet tick, and how many replays of it
+/// are not yet flushed. Everything a replayed tick changes that the
+/// victim loop reads — per-core stolen time and the next fire instant —
+/// is applied per tick; the rest accumulates in `pending` and is
+/// flushed by [`Machine::flush_quiet_stretch`].
+#[derive(Debug)]
+struct QuietTick {
+    module_idx: usize,
+    /// Package state epoch the tick ran under.
+    epoch: u64,
+    /// The re-arm delay the tick returned.
+    period: SimDuration,
+    /// Stolen time the tick charged, per core.
+    stolen: Vec<SimDuration>,
+    /// The tick's `kernel/timer_iteration_us` observation.
+    iteration_us: f64,
+    /// The tick's hot-counter increments, per core.
+    hot: Vec<[u64; 4]>,
+    /// The tick's span increments, when tracing was on.
+    spans: Option<SpanDelta>,
+    /// Replays not yet flushed.
+    pending: u64,
+}
+
+/// Before-tick snapshots a full tick is measured against; the vectors
+/// are reused across ticks.
+#[derive(Debug, Default)]
+struct TickSnapshot {
+    epoch: u64,
+    stolen: Vec<SimDuration>,
+    hot: Vec<[u64; 4]>,
+    spans: Option<SpanDelta>,
 }
 
 struct ModuleSlot {
@@ -307,6 +369,10 @@ pub struct Machine {
     trace: TraceBuffer,
     stolen: Vec<SimDuration>,
     rng: SimRng,
+    /// The current quiet stretch, if one is open.
+    quiet: Option<QuietTick>,
+    /// Scratch for measuring a full tick (see [`TickSnapshot`]).
+    snapshot: TickSnapshot,
 }
 
 impl fmt::Debug for Machine {
@@ -353,6 +419,8 @@ impl Machine {
             trace: TraceBuffer::with_capacity(16_384),
             stolen: vec![SimDuration::ZERO; cores],
             rng: SimRng::from_seed_label(seed, "machine"),
+            quiet: None,
+            snapshot: TickSnapshot::default(),
         }
     }
 
@@ -589,6 +657,14 @@ impl Machine {
 
     /// Advances the clock to `horizon`, firing due module timers in order.
     pub fn advance_to(&mut self, horizon: SimTime) {
+        self.advance_inner(horizon);
+        self.end_quiet_stretch();
+    }
+
+    /// [`advance_to`](Self::advance_to) without closing the quiet
+    /// stretch, so `run_workload` can keep one open across its slices.
+    #[inline]
+    fn advance_inner(&mut self, horizon: SimTime) {
         // `with_module` needs `&mut self`, so hold the tracer by clone
         // (it is an `Rc` handle onto the sink's shared span tree).
         let tracer = self.backend.cpu().telemetry().tracer().clone();
@@ -602,23 +678,173 @@ impl Machine {
             }
             self.now = timer.at;
             tracer.set_sim_now(self.now);
-            let span = tracer.span("kernel/timer");
-            let steal_before: SimDuration = self.stolen.iter().copied().sum();
-            if let Some(next) = self.with_module(timer.module_idx, |m, ctx| m.on_timer(ctx)) {
-                self.arm_timer(timer.module_idx, next);
+            if self.replay_quiet_tick(timer.module_idx) {
+                continue;
             }
-            drop(span);
-            let steal_after: SimDuration = self.stolen.iter().copied().sum();
-            let iteration = steal_after.saturating_sub(steal_before);
-            self.backend.cpu().telemetry().observe(
-                MetricKey::global("kernel", "timer_iteration_us"),
-                HistogramSpec::POLL_ITERATION_US,
-                iteration.as_picos() as f64 / 1e6,
-            );
+            self.end_quiet_stretch();
+            self.fire(timer.module_idx, &tracer);
         }
         if horizon > self.now {
             self.now = horizon;
             tracer.set_sim_now(self.now);
+        }
+    }
+
+    /// Runs one module tick in full; measures it when the quiet-tick
+    /// preconditions hold, so the next ticks can be replayed.
+    fn fire(&mut self, module_idx: usize, tracer: &Tracer) {
+        let measured = self.begin_measure(module_idx, tracer);
+        let span = tracer.span("kernel/timer");
+        let steal_before: SimDuration = self.stolen.iter().copied().sum();
+        let next = self.with_module(module_idx, |m, ctx| m.on_timer(ctx));
+        if let Some(next) = next {
+            self.arm_timer(module_idx, next);
+        }
+        drop(span);
+        let steal_after: SimDuration = self.stolen.iter().copied().sum();
+        let iteration_us = steal_after.saturating_sub(steal_before).as_picos() as f64 / 1e6;
+        self.backend.cpu().telemetry().observe(
+            MetricKey::global("kernel", "timer_iteration_us"),
+            HistogramSpec::POLL_ITERATION_US,
+            iteration_us,
+        );
+        if let (true, Some(period)) = (measured, next) {
+            self.end_measure(module_idx, tracer, period, iteration_us);
+        }
+    }
+
+    /// Whether module `idx` wants replays and nothing about the machine
+    /// forbids them: the module's last tick was quiet, reads through
+    /// the backend are pure, per-access MSR events and span capture are
+    /// off, the hot counters are batched, and the rails have settled.
+    /// If so, snapshots what the coming tick will change.
+    fn begin_measure(&mut self, idx: usize, tracer: &Tracer) -> bool {
+        let module = self.modules[idx]
+            .module
+            .as_mut()
+            .expect("module re-entered");
+        if !module.replay_quiet_ticks(0) || !self.backend.reads_are_pure() {
+            return false;
+        }
+        let cpu = self.backend.cpu();
+        if !plugvolt_telemetry::hot_path_enabled()
+            || cpu.telemetry().msr_events_enabled()
+            || tracer.capture_enabled()
+            || cpu.rail_settles_at() > self.now
+        {
+            return false;
+        }
+        let snap = &mut self.snapshot;
+        snap.epoch = cpu.state_epoch();
+        snap.stolen.clone_from(&self.stolen);
+        cpu.hot_counters_into(&mut snap.hot);
+        snap.spans = tracer.is_enabled().then(|| tracer.begin_delta());
+        true
+    }
+
+    /// Turns a measured full tick into the quiet-stretch template, if
+    /// it left the package epoch alone and the module calls it quiet.
+    fn end_measure(&mut self, idx: usize, tracer: &Tracer, period: SimDuration, iteration_us: f64) {
+        let module = self.modules[idx]
+            .module
+            .as_mut()
+            .expect("module re-entered");
+        let cpu = self.backend.cpu();
+        let snap = &mut self.snapshot;
+        if cpu.state_epoch() != snap.epoch || !module.replay_quiet_ticks(0) {
+            return;
+        }
+        let mut spans = snap.spans.take();
+        if let Some(delta) = spans.as_mut() {
+            if !tracer.end_delta(delta) {
+                return;
+            }
+        }
+        let mut hot = Vec::new();
+        cpu.hot_counters_into(&mut hot);
+        for (after, before) in hot.iter_mut().zip(&snap.hot) {
+            for (a, b) in after.iter_mut().zip(before) {
+                *a -= b;
+            }
+        }
+        let stolen = self
+            .stolen
+            .iter()
+            .zip(&snap.stolen)
+            .map(|(&after, &before)| after.saturating_sub(before))
+            .collect();
+        self.quiet = Some(QuietTick {
+            module_idx: idx,
+            epoch: snap.epoch,
+            period,
+            stolen,
+            iteration_us,
+            hot,
+            spans,
+            pending: 0,
+        });
+    }
+
+    /// Replays the quiet tick instead of firing module `idx`'s timer,
+    /// if a stretch is open for that module and the package epoch has
+    /// not moved since the measured tick began. Per tick only what the
+    /// victim loop reads moves: stolen time and the re-armed timer.
+    fn replay_quiet_tick(&mut self, idx: usize) -> bool {
+        let Some(q) = self.quiet.as_mut() else {
+            return false;
+        };
+        if q.module_idx != idx || self.backend.cpu().state_epoch() != q.epoch {
+            return false;
+        }
+        for (slot, &d) in self.stolen.iter_mut().zip(&q.stolen) {
+            *slot += d;
+        }
+        q.pending += 1;
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timers.push(PendingTimer {
+            at: self.now + q.period,
+            seq,
+            module_idx: idx,
+        });
+        true
+    }
+
+    /// Closes the quiet stretch, if one is open (see
+    /// [`flush_quiet_stretch`](Self::flush_quiet_stretch)). Every
+    /// `advance_to` ends here, so the common no-stretch case stays a
+    /// single inlined test.
+    #[inline]
+    fn end_quiet_stretch(&mut self) {
+        if self.quiet.is_some() {
+            self.flush_quiet_stretch();
+        }
+    }
+
+    /// Flushes the open stretch's replayed ticks — hot counters,
+    /// timer-iteration observations, span aggregates and the module's
+    /// own counters — exactly as the full ticks would have recorded
+    /// them, and closes it.
+    #[cold]
+    fn flush_quiet_stretch(&mut self) {
+        let Some(q) = self.quiet.take() else {
+            return;
+        };
+        if q.pending > 0 {
+            let cpu = self.backend.cpu();
+            cpu.add_hot_counters(&q.hot, q.pending);
+            cpu.telemetry().observe_n(
+                MetricKey::global("kernel", "timer_iteration_us"),
+                HistogramSpec::POLL_ITERATION_US,
+                q.iteration_us,
+                q.pending,
+            );
+            if let Some(delta) = &q.spans {
+                cpu.telemetry().tracer().replay_delta(delta, q.pending);
+            }
+            if let Some(module) = self.modules[q.module_idx].module.as_mut() {
+                module.replay_quiet_ticks(q.pending);
+            }
         }
     }
 
@@ -636,6 +862,17 @@ impl Machine {
     ///
     /// Propagates a package crash.
     pub fn run_workload(
+        &mut self,
+        core: CoreId,
+        class: InstrClass,
+        iters: u64,
+    ) -> Result<WorkloadRun, MachineError> {
+        let run = self.run_workload_slices(core, class, iters);
+        self.end_quiet_stretch();
+        run
+    }
+
+    fn run_workload_slices(
         &mut self,
         core: CoreId,
         class: InstrClass,
@@ -659,7 +896,7 @@ impl Machine {
                 .batch_duration(class, done, freq);
             let target = started + work_time + accrued;
             if target > self.now {
-                self.advance_to(target);
+                self.advance_inner(target);
                 continue; // re-evaluate: the catch-up may have fired timers
             }
             if remaining == 0 {
@@ -682,7 +919,7 @@ impl Machine {
                         faults += self.backend.cpu_mut().run_batch(now, core, class, n)?;
                         remaining -= n;
                     }
-                    self.advance_to(t); // fires the timer, accrues steal
+                    self.advance_inner(t); // fires the timer, accrues steal
                 }
                 _ => {
                     let now = self.now;
@@ -691,7 +928,7 @@ impl Machine {
                         .cpu_mut()
                         .run_batch(now, core, class, remaining)?;
                     remaining = 0;
-                    self.advance_to(self.now + full);
+                    self.advance_inner(self.now + full);
                 }
             }
         }
@@ -708,11 +945,14 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plugvolt_telemetry::TelemetryProfile;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     struct TickModule {
         period: SimDuration,
         cost: SimDuration,
-        ticks: u64,
+        ticks: Rc<Cell<u64>>,
     }
 
     impl KernelModule for TickModule {
@@ -723,7 +963,7 @@ mod tests {
             Some(self.period)
         }
         fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
-            self.ticks += 1;
+            self.ticks.set(self.ticks.get() + 1);
             for c in 0..ctx.cpu().core_count() {
                 ctx.charge(CoreId(c), self.cost);
             }
@@ -749,7 +989,7 @@ mod tests {
         m.load_module(Box::new(TickModule {
             period: SimDuration::from_millis(1),
             cost: SimDuration::from_micros(2),
-            ticks: 0,
+            ticks: Rc::default(),
         }))
         .unwrap();
         assert!(m.is_module_loaded("tick"));
@@ -758,7 +998,7 @@ mod tests {
             .load_module(Box::new(TickModule {
                 period: SimDuration::from_millis(1),
                 cost: SimDuration::ZERO,
-                ticks: 0,
+                ticks: Rc::default(),
             }))
             .unwrap_err();
         assert_eq!(err, MachineError::ModuleLoaded("tick".into()));
@@ -776,7 +1016,7 @@ mod tests {
         m.load_module(Box::new(TickModule {
             period: SimDuration::from_millis(1),
             cost: SimDuration::from_micros(2),
-            ticks: 0,
+            ticks: Rc::default(),
         }))
         .unwrap();
         m.advance(SimDuration::from_millis(10));
@@ -791,7 +1031,7 @@ mod tests {
         m.load_module(Box::new(TickModule {
             period: SimDuration::from_millis(1),
             cost: SimDuration::from_micros(2),
-            ticks: 0,
+            ticks: Rc::default(),
         }))
         .unwrap();
         m.advance(SimDuration::from_millis(3));
@@ -822,7 +1062,7 @@ mod tests {
         m.load_module(Box::new(TickModule {
             period: SimDuration::from_millis(1),
             cost: SimDuration::from_micros(5),
-            ticks: 0,
+            ticks: Rc::default(),
         }))
         .unwrap();
         // A long run: 100M ALU ops ≈ 13.9 ms at 1.8 GHz.
@@ -844,12 +1084,111 @@ mod tests {
     }
 
     #[test]
+    fn module_without_opt_in_fires_every_tick() {
+        let mut m = machine();
+        let ticks = Rc::new(Cell::new(0));
+        m.load_module(Box::new(TickModule {
+            period: SimDuration::from_micros(100),
+            cost: SimDuration::from_micros(1),
+            ticks: Rc::clone(&ticks),
+        }))
+        .unwrap();
+        m.run_workload(CoreId(0), InstrClass::AluAdd, 50_000_000)
+            .unwrap();
+        m.advance(SimDuration::from_micros(1_050));
+        let due = m.now().as_picos() / SimDuration::from_micros(100).as_picos();
+        assert!(due > 60, "only {due} ticks due");
+        assert_eq!(ticks.get(), due, "every due tick ran in full");
+        assert_eq!(
+            m.stolen_time(CoreId(2)),
+            SimDuration::from_micros(ticks.get())
+        );
+    }
+
+    /// Reads `IA32_PERF_STATUS` on every core each tick and finds
+    /// nothing; opts into replay when `opt_in`.
+    struct QuietProbe {
+        opt_in: bool,
+        full: Rc<Cell<u64>>,
+        replayed: Rc<Cell<u64>>,
+    }
+
+    impl KernelModule for QuietProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn init(&mut self, _ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
+            Some(SimDuration::from_micros(200))
+        }
+        fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>) -> Option<SimDuration> {
+            let _tick = ctx.tracer().span("poll/iteration");
+            self.full.set(self.full.get() + 1);
+            for c in 0..ctx.cpu().core_count() {
+                ctx.rdmsr_local(CoreId(c), Msr::IA32_PERF_STATUS).unwrap();
+            }
+            Some(SimDuration::from_micros(200))
+        }
+        fn replay_quiet_ticks(&mut self, replayed: u64) -> bool {
+            self.replayed.set(self.replayed.get() + replayed);
+            self.opt_in
+        }
+    }
+
+    /// Runs a probe through a workload, a plain advance and a P-state
+    /// change; returns (full ticks, replayed ticks, everything
+    /// observable).
+    fn probe_run(opt_in: bool, traced: bool, msr_events: bool) -> (u64, u64, String) {
+        let mut m = machine();
+        m.telemetry().tracer().set_enabled(traced);
+        m.telemetry().enable_msr_events(msr_events);
+        let (full, replayed) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        m.load_module(Box::new(QuietProbe {
+            opt_in,
+            full: Rc::clone(&full),
+            replayed: Rc::clone(&replayed),
+        }))
+        .unwrap();
+        let run = m
+            .run_workload(CoreId(1), InstrClass::Imul, 20_000_000)
+            .unwrap();
+        m.advance(SimDuration::from_millis(3));
+        m.set_freq(CoreId(3), FreqMhz(2_600)).unwrap();
+        m.advance(SimDuration::from_millis(2));
+        m.publish_trace_drops();
+        let stolen: Vec<_> = (0..4).map(|c| m.stolen_time(CoreId(c))).collect();
+        let registry = m
+            .telemetry()
+            .with(|r| TelemetryProfile::from_registry(r, "probe").to_json());
+        let spans =
+            plugvolt_telemetry::SpanProfile::from_tracer(m.telemetry().tracer(), "probe").to_json();
+        let observable = format!("{run:?} {stolen:?} {:?} {registry} {spans}", m.now());
+        (full.get(), replayed.get(), observable)
+    }
+
+    #[test]
+    fn opted_in_quiet_ticks_replay_exactly() {
+        for traced in [false, true] {
+            let (full, replayed, fast) = probe_run(true, traced, false);
+            let (every, none, reference) = probe_run(false, traced, false);
+            assert_eq!(none, 0);
+            assert_eq!(full + replayed, every, "traced={traced}");
+            assert!(full * 5 < every, "{full} of {every} ticks ran in full");
+            assert_eq!(fast, reference, "traced={traced}");
+        }
+        // Per-access MSR events must see every access: no replay.
+        let (full, replayed, with_events) = probe_run(true, false, true);
+        assert_eq!(replayed, 0);
+        assert_eq!(with_events, probe_run(false, false, true).2);
+        assert!(full > 0);
+    }
+
+    #[test]
     fn trace_records_module_lifecycle() {
         let mut m = machine();
         m.load_module(Box::new(TickModule {
             period: SimDuration::from_millis(1),
             cost: SimDuration::ZERO,
-            ticks: 0,
+            ticks: Rc::default(),
         }))
         .unwrap();
         m.unload_module("tick").unwrap();

@@ -58,7 +58,7 @@ pub use registry::{
     hot_path_enabled, set_hot_path_enabled, HistogramSpec, MetricKey, Registry, Sink,
 };
 pub use span::{
-    set_span_tracing_default, span_tracing_default, SpanEvent, SpanGuard, SpanProfile,
+    set_span_tracing_default, span_tracing_default, SpanDelta, SpanEvent, SpanGuard, SpanProfile,
     SpanProfileRow, SpanRow, SpanSnapshot, Tracer, SPAN_SCHEMA_VERSION,
 };
 pub use stream::{CounterDelta, StreamCursor, StreamFrame, STREAM_SCHEMA_VERSION};

@@ -205,10 +205,16 @@ impl Registry {
     /// Records `value` into the histogram at `key`, creating it with
     /// `spec` on first use.
     pub fn observe(&mut self, key: MetricKey, spec: HistogramSpec, value: f64) {
+        self.observe_n(key, spec, value, 1);
+    }
+
+    /// Records `count` observations of `value` at once — bin-for-bin
+    /// what `count` [`observe`](Self::observe) calls would record.
+    pub fn observe_n(&mut self, key: MetricKey, spec: HistogramSpec, value: f64, count: u64) {
         self.histograms
             .entry(key)
             .or_insert_with(|| Histogram::new(spec.lo, spec.hi, spec.bins))
-            .record(value);
+            .record_n(value, count);
     }
 
     /// Records `value` into the streaming summary at `key`.
@@ -380,6 +386,12 @@ impl Sink {
     /// [`Registry::observe`]).
     pub fn observe(&self, key: MetricKey, spec: HistogramSpec, value: f64) {
         self.inner.borrow_mut().observe(key, spec, value);
+    }
+
+    /// Records `count` observations of `value` (see
+    /// [`Registry::observe_n`]).
+    pub fn observe_n(&self, key: MetricKey, spec: HistogramSpec, value: f64, count: u64) {
+        self.inner.borrow_mut().observe_n(key, spec, value, count);
     }
 
     /// Records `value` into the streaming summary at `key`.

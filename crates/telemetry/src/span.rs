@@ -257,6 +257,90 @@ impl Tracer {
         self.inner.capture_capacity.set(capacity);
     }
 
+    /// Whether the bounded capture buffer is on (see
+    /// [`enable_capture`](Self::enable_capture)).
+    #[must_use]
+    pub fn capture_enabled(&self) -> bool {
+        self.inner.capture_capacity.get() > 0
+    }
+
+    /// Starts measuring a [`SpanDelta`]: snapshots every node's sim
+    /// totals and the open stack's accumulators.
+    #[must_use]
+    pub fn begin_delta(&self) -> SpanDelta {
+        SpanDelta {
+            nodes: self
+                .inner
+                .nodes
+                .borrow()
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (i, n.count, n.total_ps, n.self_ps))
+                .collect(),
+            stack: self
+                .inner
+                .stack
+                .borrow()
+                .iter()
+                .map(|a| (a.charged_ps, a.child_total_ps))
+                .collect(),
+        }
+    }
+
+    /// Turns the snapshot taken by [`begin_delta`](Self::begin_delta)
+    /// into the sim-channel increments recorded since. Returns `false`
+    /// when the open stack changed depth in between, i.e. the measured
+    /// stretch opened or closed an enclosing span and cannot be
+    /// replayed.
+    pub fn end_delta(&self, delta: &mut SpanDelta) -> bool {
+        let stack = self.inner.stack.borrow();
+        if stack.len() != delta.stack.len() {
+            return false;
+        }
+        for (d, a) in delta.stack.iter_mut().zip(stack.iter()) {
+            *d = (a.charged_ps - d.0, a.child_total_ps - d.1);
+        }
+        let nodes = self.inner.nodes.borrow();
+        let known = delta.nodes.len();
+        for (d, n) in delta.nodes.iter_mut().zip(nodes.iter()) {
+            *d = (d.0, n.count - d.1, n.total_ps - d.2, n.self_ps - d.3);
+        }
+        delta.nodes.extend(
+            nodes
+                .iter()
+                .enumerate()
+                .skip(known)
+                .map(|(i, n)| (i, n.count, n.total_ps, n.self_ps)),
+        );
+        delta.nodes.retain(|&(_, c, t, s)| (c, t, s) != (0, 0, 0));
+        true
+    }
+
+    /// Adds `n` repetitions of `delta` to the aggregate tree and the
+    /// open stack — exactly what `n` more runs of the measured stretch
+    /// would record on the sim channel. The wall channel is left
+    /// alone: replayed work spends no host time in those spans.
+    pub fn replay_delta(&self, delta: &SpanDelta, n: u64) {
+        if n == 0 {
+            return;
+        }
+        {
+            let mut nodes = self.inner.nodes.borrow_mut();
+            for &(i, c, t, s) in &delta.nodes {
+                let node = &mut nodes[i];
+                node.count += c * n;
+                node.total_ps += t * n;
+                node.self_ps += s * n;
+            }
+        }
+        for (a, &(charged, child_total)) in
+            self.inner.stack.borrow_mut().iter_mut().zip(&delta.stack)
+        {
+            a.charged_ps += charged * n;
+            a.child_total_ps += child_total * n;
+        }
+    }
+
     /// A copy of the captured span events, in completion order.
     #[must_use]
     pub fn capture(&self) -> Vec<SpanEvent> {
@@ -438,6 +522,21 @@ impl Tracer {
         };
         self.capture_event(label, depth, top.enter_sim_ps, sim_delta);
     }
+}
+
+/// The sim-channel effect of one measured stretch of span activity
+/// (see [`Tracer::begin_delta`], [`Tracer::end_delta`] and
+/// [`Tracer::replay_delta`]): per-node count/total/self increments plus
+/// the increments of the enclosing open spans' accumulators. The kernel
+/// measures one quiet timer tick this way and replays it in bulk.
+#[derive(Debug, Clone)]
+pub struct SpanDelta {
+    /// `(node, count, total_ps, self_ps)`: a snapshot between
+    /// `begin_delta` and `end_delta`, increments after.
+    nodes: Vec<(usize, u64, u64, u64)>,
+    /// `(charged_ps, child_total_ps)` per open stack level, bottom
+    /// first; a snapshot, then increments.
+    stack: Vec<(u64, u64)>,
 }
 
 /// RAII guard for one open span; closes it on drop. Inert (a single
@@ -682,6 +781,46 @@ mod tests {
         assert_eq!(p.spans[1].path, "zeta");
         let back: SpanProfile = serde_json::from_str(&p.to_json()).expect("parses back");
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn replayed_delta_equals_repeating_the_stretch() {
+        let stretch = |t: &Tracer| {
+            let _tick = t.span("tick");
+            t.record_span("leaf", 7);
+            let _inner = t.span("inner");
+            t.record_span("leaf", 3);
+        };
+        let looped = enabled_tracer();
+        let bulk = enabled_tracer();
+        for t in [&looped, &bulk] {
+            t.set_sim_now(SimTime::ZERO + SimDuration::from_picos(40));
+        }
+        let _outer_looped = looped.span("outer");
+        let _outer_bulk = bulk.span("outer");
+        for _ in 0..6 {
+            stretch(&looped);
+        }
+        let mut delta = bulk.begin_delta();
+        stretch(&bulk);
+        assert!(bulk.end_delta(&mut delta));
+        bulk.replay_delta(&delta, 5);
+        drop(_outer_looped);
+        drop(_outer_bulk);
+        assert_eq!(
+            SpanProfile::from_tracer(&bulk, "unit"),
+            SpanProfile::from_tracer(&looped, "unit")
+        );
+        let outer = bulk.rows().into_iter().find(|r| r.path == "outer");
+        assert_eq!(outer.map(|r| (r.count, r.total_ps)), Some((1, 60)));
+    }
+
+    #[test]
+    fn delta_across_a_stack_change_is_not_replayable() {
+        let t = enabled_tracer();
+        let mut delta = t.begin_delta();
+        let _open = t.span("left-open");
+        assert!(!t.end_delta(&mut delta));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::rate::{run_rate, RateScore};
 use crate::suite::{Benchmark, Tuning, SUITE};
 use plugvolt::characterize::analytic_map;
 use plugvolt::charmap::CharacterizationMap;
-use plugvolt::poll::{PollConfig, PollingModule};
+use plugvolt::poll::{PollConfig, PollStats, PollingModule};
 use plugvolt::pool::run_indexed;
 use plugvolt_cpu::model::CpuModel;
 use plugvolt_kernel::machine::{Machine, MachineError};
@@ -114,33 +114,8 @@ pub fn measure_benchmark_with(
     map: &CharacterizationMap,
     telemetry: Option<&Sink>,
 ) -> Result<Table2Row, MachineError> {
-    let b = scaled(bench, cfg.work_divisor);
     let rates = |with_polling: bool, tuning: Tuning| -> Result<RateScore, MachineError> {
-        // Each of the four measurements is an independent "run" with its
-        // own measurement noise, like four separate SPEC invocations.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in bench.name.bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= u64::from(with_polling) << 1 | u64::from(tuning == Tuning::Peak);
-        // workloads sits below bench in the dependency graph, so the
-        // Scenario layer is out of reach here; the caller supplies the
-        // root seed and this FNV mix plays the role of a labelled
-        // derivation (one stream per benchmark × configuration).
-        // plugvolt-lint: allow(machine-construction-discipline)
-        let mut machine = Machine::new(cfg.model, cfg.seed ^ h);
-        if let Some(sink) = telemetry {
-            machine.set_telemetry(sink.clone());
-        }
-        if with_polling {
-            let (module, _stats) = PollingModule::new(map.clone(), cfg.poll.clone());
-            machine.load_module(Box::new(module))?;
-        }
-        let score = run_rate(&mut machine, &b, tuning);
-        if telemetry.is_some() {
-            machine.publish_trace_drops();
-        }
-        score
+        measure_rate(bench, cfg, map, with_polling, tuning, telemetry).map(|(score, _)| score)
     };
     let base_without = rates(false, Tuning::Base)?.score;
     let base_with = rates(true, Tuning::Base)?.score;
@@ -155,6 +130,52 @@ pub fn measure_benchmark_with(
         peak_with,
         peak_slowdown_pct: slowdown_pct(peak_without, peak_with),
     })
+}
+
+/// One of a row's four rate runs: boots the run's machine, loads the
+/// polling module when `with_polling`, and measures `bench` (scaled by
+/// the work divisor) at `tuning`. Returns the score and, for a polled
+/// run, the module's final statistics.
+///
+/// # Errors
+///
+/// Propagates machine errors.
+pub fn measure_rate(
+    bench: &Benchmark,
+    cfg: &OverheadConfig,
+    map: &CharacterizationMap,
+    with_polling: bool,
+    tuning: Tuning,
+    telemetry: Option<&Sink>,
+) -> Result<(RateScore, Option<PollStats>), MachineError> {
+    // Each of the four measurements is an independent "run" with its
+    // own measurement noise, like four separate SPEC invocations.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in bench.name.bytes() {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+    }
+    h ^= u64::from(with_polling) << 1 | u64::from(tuning == Tuning::Peak);
+    // workloads sits below bench in the dependency graph, so the
+    // Scenario layer is out of reach here; the caller supplies the
+    // root seed and this FNV mix plays the role of a labelled
+    // derivation (one stream per benchmark × configuration).
+    // plugvolt-lint: allow(machine-construction-discipline)
+    let mut machine = Machine::new(cfg.model, cfg.seed ^ h);
+    if let Some(sink) = telemetry {
+        machine.set_telemetry(sink.clone());
+    }
+    let stats = if with_polling {
+        let (module, stats) = PollingModule::new(map.clone(), cfg.poll.clone());
+        machine.load_module(Box::new(module))?;
+        Some(stats)
+    } else {
+        None
+    };
+    let score = run_rate(&mut machine, &scaled(bench, cfg.work_divisor), tuning);
+    if telemetry.is_some() {
+        machine.publish_trace_drops();
+    }
+    Ok((score?, stats.map(|s| s.borrow().clone())))
 }
 
 /// Runs the whole Table 2 reproduction.
